@@ -36,10 +36,13 @@ bench:
 	@rm -f bench.out
 	@echo "wrote BENCH_results.json"
 
-# fuzz-smoke gives each scenario/campaign fuzzer a short budget — the
-# CI regression net; long exploratory runs raise -fuzztime locally.
+# fuzz-smoke gives each scenario/campaign/journal fuzzer a short budget
+# — the CI regression net; long exploratory runs raise -fuzztime
+# locally. Journal recovery fsyncs its compacted file on every exec, so
+# its per-input minimization is capped or it would eat the budget.
 fuzz-smoke:
 	go test ./internal/scenario -run=XXX -fuzz=FuzzSpecDecode -fuzztime=15s
 	go test ./internal/scenario -run=XXX -fuzz=FuzzNormalizeIdempotent -fuzztime=15s
 	go test ./internal/campaign -run=XXX -fuzz=FuzzCampaignDecode -fuzztime=15s
 	go test ./internal/campaign -run=XXX -fuzz=FuzzCampaignExpand -fuzztime=15s
+	go test ./internal/serve -run=XXX -fuzz=FuzzJournalOpen -fuzztime=15s -fuzzminimizetime=100x

@@ -2,7 +2,6 @@ package model
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/config"
 )
@@ -23,12 +22,13 @@ func SolveDCF(n int, cfg config.DCF, opts Options) (Prediction, error) {
 	if err := cfg.Validate(); err != nil {
 		return Prediction{}, err
 	}
-	opts = opts.withDefaults()
-
 	m := cfg.Stages()
 	slotsAt := func(i int) float64 { return float64(cfg.Window(i)-1)/2 + 1 }
 
-	tauGivenGamma := func(gamma float64) (float64, []float64) {
+	// The per-group τ function of the shared loop: a DCF station's
+	// attempts fail exactly when they collide, so succ is 1−γ by
+	// construction and goes unused.
+	tauOf := func(_ *Group, gamma, _ float64) (float64, []float64) {
 		// Visit rates: v_0 = 1; v_i = γ^i for i < m−1; the last stage
 		// absorbs the tail: v_{m−1} = γ^{m−1}/(1−γ).
 		v := make([]float64, m)
@@ -52,24 +52,9 @@ func SolveDCF(n int, cfg config.DCF, opts Options) (Prediction, error) {
 		return num / den, pi
 	}
 
-	if n == 1 {
-		tau, pi := tauGivenGamma(0)
-		return Prediction{Tau: tau, StageDistribution: pi}, nil
+	fp, err := solveFixedPoint([]LoadedGroup{{Group: Group{N: n}, Saturated: true}}, tauOf, Timing{}, opts)
+	if err != nil {
+		return Prediction{}, err
 	}
-
-	gammaOf := func(tau float64) float64 { return 1 - math.Pow(1-tau, float64(n-1)) }
-
-	tau := 0.1
-	var pi []float64
-	for it := 1; it <= opts.MaxIterations; it++ {
-		var next float64
-		next, pi = tauGivenGamma(gammaOf(tau))
-		newTau := tau + opts.Damping*(next-tau)
-		if math.Abs(newTau-tau) < opts.Tolerance {
-			g := gammaOf(newTau)
-			return Prediction{Tau: newTau, Gamma: g, BusyProbability: g, StageDistribution: pi, Iterations: it}, nil
-		}
-		tau = newTau
-	}
-	return Prediction{}, ErrNoConvergence
+	return fp.prediction(), nil
 }

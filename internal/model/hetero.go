@@ -46,61 +46,38 @@ type HeteroPrediction struct {
 //
 //	p_i = 1 − (1−τ_i)^(n_i−1) · Π_{j≠i} (1−τ_j)^(n_j)
 //
-// The joint fixed point is solved by damped simultaneous iteration.
+// The joint fixed point is the shared damped loop with every group
+// saturated.
 func SolveHeterogeneous(groups []Group, opts Options) (HeteroPrediction, error) {
 	if len(groups) == 0 {
 		return HeteroPrediction{}, fmt.Errorf("model: no groups")
 	}
-	total := 0
+	saturated := make([]LoadedGroup, len(groups))
 	for i, g := range groups {
-		if g.N < 1 {
-			return HeteroPrediction{}, fmt.Errorf("model: group %d has N=%d", i, g.N)
+		if err := g.validate(i); err != nil {
+			return HeteroPrediction{}, err
 		}
-		if err := g.Params.Validate(); err != nil {
-			return HeteroPrediction{}, fmt.Errorf("model: group %d: %w", i, err)
-		}
-		if g.ErrorProb < 0 || g.ErrorProb > 1 || math.IsNaN(g.ErrorProb) {
-			return HeteroPrediction{}, fmt.Errorf("model: group %d: error probability %v outside [0, 1]", i, g.ErrorProb)
-		}
-		total += g.N
+		saturated[i] = LoadedGroup{Group: g, Saturated: true}
 	}
-	opts = opts.withDefaults()
+	fp, err := solveFixedPoint(saturated, groupTau, Timing{}, opts)
+	if err != nil {
+		return HeteroPrediction{}, err
+	}
+	return HeteroPrediction{Tau: fp.tau, Gamma: fp.gamma, Iterations: fp.iterations}, nil
+}
 
-	k := len(groups)
-	if total == 1 {
-		// A lone station sees an idle medium: p = 0 exactly, mirroring
-		// the homogeneous solver's N=1 fast path (the damped iteration
-		// would only approach this value geometrically).
-		g := groups[0]
-		t, _ := tauGivenSucc(g.Params, 0, 1-g.ErrorProb)
-		return HeteroPrediction{Tau: []float64{t}, Gamma: []float64{0}, Iterations: 0}, nil
+// validate checks group i of a solver input.
+func (g Group) validate(i int) error {
+	if g.N < 1 {
+		return fmt.Errorf("model: group %d has N=%d", i, g.N)
 	}
-	tau := make([]float64, k)
-	for i := range tau {
-		tau[i] = 0.1
+	if err := g.Params.Validate(); err != nil {
+		return fmt.Errorf("model: group %d: %w", i, err)
 	}
-
-	next := make([]float64, k)
-	for it := 1; it <= opts.MaxIterations; it++ {
-		var maxDelta float64
-		for i, g := range groups {
-			p := gammaOf(tau, groups, i)
-			v, _ := tauGivenSucc(g.Params, p, (1-p)*(1-g.ErrorProb))
-			next[i] = tau[i] + opts.Damping*(v-tau[i])
-			if d := math.Abs(next[i] - tau[i]); d > maxDelta {
-				maxDelta = d
-			}
-		}
-		copy(tau, next)
-		if maxDelta < opts.Tolerance {
-			pred := HeteroPrediction{Tau: tau, Gamma: make([]float64, k), Iterations: it}
-			for i := range groups {
-				pred.Gamma[i] = gammaOf(tau, groups, i)
-			}
-			return pred, nil
-		}
+	if g.ErrorProb < 0 || g.ErrorProb > 1 || math.IsNaN(g.ErrorProb) {
+		return fmt.Errorf("model: group %d: error probability %v outside [0, 1]", i, g.ErrorProb)
 	}
-	return HeteroPrediction{}, ErrNoConvergence
+	return nil
 }
 
 // gammaOf is group i's conditional collision probability given the
@@ -109,7 +86,7 @@ func SolveHeterogeneous(groups []Group, opts Options) (HeteroPrediction, error) 
 // summed exponent, so that k identically configured groups — whose τ
 // stay equal throughout the iteration by symmetry — reproduce the
 // homogeneous solver's 1 − (1−τ)^(N−1) bit for bit.
-func gammaOf(tau []float64, groups []Group, i int) float64 {
+func gammaOf(tau []float64, groups []LoadedGroup, i int) float64 {
 	q := 1.0
 	for j := 0; j < len(tau); {
 		base := 1 - tau[j]

@@ -29,10 +29,6 @@ type LoadedGroup struct {
 	ArrivalRate float64
 }
 
-// saturatedOnly reports whether the group is the classic saturated
-// regime the plain heterogeneous solver covers.
-func (g LoadedGroup) saturatedOnly() bool { return g.Saturated }
-
 // silent reports whether the group never offers traffic.
 func (g LoadedGroup) silent() bool { return !g.Saturated && g.ArrivalRate == 0 }
 
@@ -95,9 +91,9 @@ func (s *LoadedSolution) ClassFor(p config.Priority) *ClassSolution {
 // and a itself is pinned by flow conservation — a backlogged station
 // delivers τ(1−γ)(1−e) frames per virtual slot of mean duration E[σ],
 // so a = min(1, λ·E[σ]/(τ(1−γ)(1−e))) — giving a joint damped fixed
-// point in (τ, a). Saturated groups hold a = 1 (reducing exactly to
-// SolveHeterogeneous, to which an all-saturated class delegates) and
-// silent groups a = 0.
+// point in (τ, a). Saturated groups hold a = 1 (an all-saturated class
+// is exactly SolveHeterogeneous: both run solveFixedPoint) and silent
+// groups a = 0.
 //
 // Across classes, the priority-resolution phase is strict: a lower
 // class transmits only while no higher-class station is backlogged.
@@ -112,14 +108,8 @@ func SolveLoaded(groups []LoadedGroup, tm Timing, opts Options) (*LoadedSolution
 		return nil, fmt.Errorf("model: no groups")
 	}
 	for i, g := range groups {
-		if g.N < 1 {
-			return nil, fmt.Errorf("model: group %d has N=%d", i, g.N)
-		}
-		if err := g.Params.Validate(); err != nil {
-			return nil, fmt.Errorf("model: group %d: %w", i, err)
-		}
-		if g.ErrorProb < 0 || g.ErrorProb > 1 || math.IsNaN(g.ErrorProb) {
-			return nil, fmt.Errorf("model: group %d: error probability %v outside [0, 1]", i, g.ErrorProb)
+		if err := g.validate(i); err != nil {
+			return nil, err
 		}
 		if !g.Priority.Valid() {
 			return nil, fmt.Errorf("model: group %d: invalid priority %v", i, g.Priority)
@@ -167,14 +157,7 @@ func SolveLoaded(groups []LoadedGroup, tm Timing, opts Options) (*LoadedSolution
 // solveClass computes one class's fixed point over its wall-clock share.
 func solveClass(pri config.Priority, idx []int, groups []LoadedGroup, share float64, tm Timing, opts Options) (ClassSolution, error) {
 	k := len(idx)
-	cs := ClassSolution{
-		Priority:     pri,
-		Share:        share,
-		GroupIndex:   append([]int(nil), idx...),
-		Tau:          make([]float64, k),
-		Availability: make([]float64, k),
-		Gamma:        make([]float64, k),
-	}
+	cs := ClassSolution{Priority: pri, Share: share, GroupIndex: append([]int(nil), idx...)}
 
 	if share <= 0 {
 		// Starved by a saturated class above: the class never reaches
@@ -182,6 +165,7 @@ func solveClass(pri config.Priority, idx []int, groups []LoadedGroup, share floa
 		// (occupancy 1, so everything below starves too); every rate is
 		// exactly zero.
 		cs.Starved = true
+		cs.Tau, cs.Availability, cs.Gamma = make([]float64, k), make([]float64, k), make([]float64, k)
 		for i, gi := range idx {
 			if !groups[gi].silent() {
 				cs.Availability[i] = 1
@@ -194,66 +178,99 @@ func solveClass(pri config.Priority, idx []int, groups []LoadedGroup, share floa
 		return cs, nil
 	}
 
+	// The class sees only its share of the timeline, so its arrival
+	// rates are per µs of class medium time: λ/F_c.
+	class := make([]LoadedGroup, k)
 	plain := make([]Group, k)
-	allSaturated := true
 	for i, gi := range idx {
+		class[i] = groups[gi]
+		class[i].ArrivalRate /= share
 		plain[i] = groups[gi].Group
-		if !groups[gi].saturatedOnly() {
-			allSaturated = false
-		}
 	}
-
-	if allSaturated {
-		// The classic regime: delegate so an all-saturated class is bit
-		// for bit the plain heterogeneous solution.
-		pred, err := SolveHeterogeneous(plain, opts)
-		if err != nil {
-			return ClassSolution{}, fmt.Errorf("model: class %s: %w", pri, err)
-		}
-		copy(cs.Tau, pred.Tau)
-		copy(cs.Gamma, pred.Gamma)
-		for i := range cs.Availability {
-			cs.Availability[i] = 1
-		}
-		cs.Met = HeteroMetricsFor(pred, plain, tm)
-		cs.Iterations = pred.Iterations
-		return cs, nil
+	fp, err := solveFixedPoint(class, groupTau, tm, opts)
+	if err != nil {
+		return ClassSolution{}, fmt.Errorf("model: class %s: %w", pri, err)
 	}
+	cs.Tau, cs.Availability, cs.Gamma, cs.Iterations = fp.tau, fp.avail, fp.gamma, fp.iterations
+	eff := make([]float64, k)
+	for i := range eff {
+		eff[i] = fp.avail[i] * fp.tau[i]
+	}
+	cs.Met = HeteroMetricsFor(HeteroPrediction{Tau: eff, Gamma: cs.Gamma}, plain, tm)
+	return cs, nil
+}
 
+// groupTau is the 1901 renewal-reward attempt rate of a backlogged
+// group-g station (the per-group τ function of every solver but
+// SolveDCF).
+func groupTau(g *Group, p, succ float64) (float64, []float64) {
+	return tauGivenSucc(g.Params, p, succ)
+}
+
+// fixedPoint is the converged state of solveFixedPoint, per group.
+type fixedPoint struct {
+	tau, avail, gamma []float64
+	// pi is each group's stage distribution from the final iteration.
+	pi         [][]float64
+	iterations int
+}
+
+// prediction is the single-group fixed point as a Prediction.
+func (fp fixedPoint) prediction() Prediction {
+	g := fp.gamma[0]
+	return Prediction{Tau: fp.tau[0], Gamma: g, BusyProbability: g, StageDistribution: fp.pi[0], Iterations: fp.iterations}
+}
+
+// solveFixedPoint is the one damped decoupling iteration behind every
+// solver: simultaneous damped updates of each group's attempt rate τ
+// (from tauOf, against the busy probability γ composed from every other
+// station's effective rate a·τ) and, for Poisson-loaded groups, of the
+// availability a (flow conservation against the mean slot duration
+// E[σ], with ArrivalRate per µs of the class's medium time). Saturated
+// groups hold a = 1 and silent groups a = 0. A lone saturated station
+// sees an idle medium: p = 0 exactly, answered without iterating (the
+// iteration would only approach it geometrically).
+func solveFixedPoint(groups []LoadedGroup, tauOf func(g *Group, p, succ float64) (float64, []float64), tm Timing, opts Options) (fixedPoint, error) {
 	opts = opts.withDefaults()
-	tau := make([]float64, k)
-	avail := make([]float64, k)
-	for i, gi := range idx {
-		tau[i] = 0.1
+	k := len(groups)
+	fp := fixedPoint{tau: make([]float64, k), avail: make([]float64, k), gamma: make([]float64, k), pi: make([][]float64, k)}
+	total, loaded := 0, false
+	for i, g := range groups {
+		total += g.N
+		fp.tau[i] = 0.1
 		switch {
-		case groups[gi].saturatedOnly():
-			avail[i] = 1
-		case groups[gi].silent():
-			avail[i] = 0
+		case g.Saturated:
+			fp.avail[i] = 1
+		case g.silent():
+			fp.avail[i] = 0
 		default:
-			avail[i] = 1 // start backlogged and relax downward
+			fp.avail[i] = 1 // start backlogged and relax downward
+			loaded = true
 		}
+	}
+	if total == 1 && groups[0].Saturated {
+		fp.tau[0], fp.pi[0] = tauOf(&groups[0].Group, 0, 1-groups[0].ErrorProb)
+		return fp, nil
 	}
 
 	eff := make([]float64, k) // a·τ, the effective per-slot attempt rates
-	gam := make([]float64, k)
 	nextTau := make([]float64, k)
 	nextAvail := make([]float64, k)
 	for it := 1; it <= opts.MaxIterations; it++ {
-		for i := range idx {
-			eff[i] = avail[i] * tau[i]
+		for i := range groups {
+			eff[i] = fp.avail[i] * fp.tau[i]
+		}
+		for i := range groups {
+			fp.gamma[i] = gammaOf(eff, groups, i)
 		}
 		es := 0.0
-		{
+		if loaded {
 			// Slot-state composition under the effective attempt rates.
 			pIdle := 1.0
-			for i, gi := range idx {
-				pIdle *= math.Pow(1-eff[i], float64(groups[gi].N))
-			}
 			var pSingle float64
-			for i, gi := range idx {
-				gam[i] = gammaOf(eff, plain, i)
-				pSingle += float64(groups[gi].N) * eff[i] * (1 - gam[i])
+			for i, g := range groups {
+				pIdle *= math.Pow(1-eff[i], float64(g.N))
+				pSingle += float64(g.N) * eff[i] * (1 - fp.gamma[i])
 			}
 			pColl := 1 - pIdle - pSingle
 			if pColl < 0 {
@@ -263,51 +280,48 @@ func solveClass(pri config.Priority, idx []int, groups []LoadedGroup, share floa
 		}
 
 		var maxDelta float64
-		for i, gi := range idx {
-			g := groups[gi]
-			v, _ := tauGivenSucc(g.Params, gam[i], (1-gam[i])*(1-g.ErrorProb))
-			nextTau[i] = tau[i] + opts.Damping*(v-tau[i])
-			if d := math.Abs(nextTau[i] - tau[i]); d > maxDelta {
+		for i := range groups {
+			g := &groups[i]
+			gam, tau, avail := fp.gamma[i], fp.tau[i], fp.avail[i]
+			var v float64
+			v, fp.pi[i] = tauOf(&g.Group, gam, (1-gam)*(1-g.ErrorProb))
+			nextTau[i] = tau + opts.Damping*(v-tau)
+			if d := math.Abs(nextTau[i] - tau); d > maxDelta {
 				maxDelta = d
 			}
 
-			nextAvail[i] = avail[i]
-			if !g.saturatedOnly() && !g.silent() {
+			nextAvail[i] = avail
+			if !g.Saturated && !g.silent() {
 				// Flow conservation: while backlogged the station
 				// completes τ(1−γ)(1−e) frames per slot of E[σ] µs, so
-				// its queue is busy the fraction λ·E[σ]/service — scaled
-				// by 1/Share because only that fraction of wall-clock
-				// time belongs to this class — clamped at 1 (overload:
-				// the station saturates).
-				serv := tau[i] * (1 - gam[i]) * (1 - g.ErrorProb)
+				// its queue is busy the fraction λ·E[σ]/service,
+				// clamped at 1 (overload: the station saturates).
+				serv := tau * (1 - gam) * (1 - g.ErrorProb)
 				target := 1.0
 				if serv > 0 {
-					target = g.ArrivalRate / share * es / serv
+					target = g.ArrivalRate * es / serv
 					if target > 1 {
 						target = 1
 					}
 				}
-				nextAvail[i] = avail[i] + opts.Damping*(target-avail[i])
-				if d := math.Abs(nextAvail[i] - avail[i]); d > maxDelta {
+				nextAvail[i] = avail + opts.Damping*(target-avail)
+				if d := math.Abs(nextAvail[i] - avail); d > maxDelta {
 					maxDelta = d
 				}
 			}
 		}
-		copy(tau, nextTau)
-		copy(avail, nextAvail)
+		copy(fp.tau, nextTau)
+		copy(fp.avail, nextAvail)
 		if maxDelta < opts.Tolerance {
-			copy(cs.Tau, tau)
-			copy(cs.Availability, avail)
-			for i := range idx {
-				eff[i] = avail[i] * tau[i]
+			for i := range groups {
+				eff[i] = fp.avail[i] * fp.tau[i]
 			}
-			for i := range idx {
-				cs.Gamma[i] = gammaOf(eff, plain, i)
+			for i := range groups {
+				fp.gamma[i] = gammaOf(eff, groups, i)
 			}
-			cs.Met = HeteroMetricsFor(HeteroPrediction{Tau: eff, Gamma: cs.Gamma}, plain, tm)
-			cs.Iterations = it
-			return cs, nil
+			fp.iterations = it
+			return fp, nil
 		}
 	}
-	return ClassSolution{}, fmt.Errorf("model: class %s: %w", pri, ErrNoConvergence)
+	return fixedPoint{}, ErrNoConvergence
 }

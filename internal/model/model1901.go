@@ -204,7 +204,9 @@ func tauGivenSucc(params config.Params, p, succ float64) (tau float64, pi []floa
 	return num / den, pi
 }
 
-// Solve computes the model's fixed point for N stations running params.
+// Solve computes the model's fixed point for N stations running params:
+// the shared damped loop over one group of N, falling back to bisection
+// on the 1-D equation when the loop does not converge.
 func Solve(n int, params config.Params, opts Options) (Prediction, error) {
 	if n < 1 {
 		return Prediction{}, fmt.Errorf("model: N=%d must be ≥ 1", n)
@@ -213,33 +215,14 @@ func Solve(n int, params config.Params, opts Options) (Prediction, error) {
 		return Prediction{}, err
 	}
 	opts = opts.withDefaults()
-
-	if n == 1 {
-		// No contention: p = 0 exactly.
-		tau, pi := tauGivenP(params, 0)
-		return Prediction{Tau: tau, Gamma: 0, BusyProbability: 0, StageDistribution: pi, Iterations: 0}, nil
+	fp, err := solveFixedPoint([]LoadedGroup{{Group: Group{N: n, Params: params}, Saturated: true}}, groupTau, Timing{}, opts)
+	if err == nil {
+		return fp.prediction(), nil
 	}
 
 	pOfTau := func(tau float64) float64 {
 		return 1 - math.Pow(1-tau, float64(n-1))
 	}
-
-	// Damped fixed-point iteration on τ.
-	tau := 0.1
-	var pi []float64
-	for it := 1; it <= opts.MaxIterations; it++ {
-		p := pOfTau(tau)
-		var next float64
-		next, pi = tauGivenP(params, p)
-		newTau := tau + opts.Damping*(next-tau)
-		if math.Abs(newTau-tau) < opts.Tolerance {
-			tau = newTau
-			g := pOfTau(tau)
-			return Prediction{Tau: tau, Gamma: g, BusyProbability: g, StageDistribution: pi, Iterations: it}, nil
-		}
-		tau = newTau
-	}
-
 	// Bisection fallback on f(τ) = τ(p(τ)) − τ, which is positive at
 	// τ→0⁺ and negative at τ→1⁻ for any contention-creating config.
 	lo, hi := 1e-9, 1-1e-9
@@ -252,10 +235,9 @@ func Solve(n int, params config.Params, opts Options) (Prediction, error) {
 		mid := (lo + hi) / 2
 		fm := f(mid)
 		if math.Abs(hi-lo) < opts.Tolerance {
-			tau = mid
-			_, pi = tauGivenP(params, pOfTau(tau))
-			g := pOfTau(tau)
-			return Prediction{Tau: tau, Gamma: g, BusyProbability: g, StageDistribution: pi, Iterations: opts.MaxIterations + it}, nil
+			_, pi := tauGivenP(params, pOfTau(mid))
+			g := pOfTau(mid)
+			return Prediction{Tau: mid, Gamma: g, BusyProbability: g, StageDistribution: pi, Iterations: opts.MaxIterations + it}, nil
 		}
 		if (fm >= 0) == (flo >= 0) {
 			lo, flo = mid, fm

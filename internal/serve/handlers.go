@@ -181,10 +181,7 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // writing the 400 itself on any failure (ok=false). Shared by the
 // submit and predict handlers so the two surfaces cannot drift.
 func decodeSpecRequest(w http.ResponseWriter, r *http.Request) (spec scenario.Spec, req SubmitRequest, ok bool) {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decode request: %w", err))
+	if !decodeBody(w, r, &req) {
 		return scenario.Spec{}, req, false
 	}
 	if len(req.Spec) == 0 {
@@ -197,6 +194,18 @@ func decodeSpecRequest(w http.ResponseWriter, r *http.Request) (spec scenario.Sp
 		return scenario.Spec{}, req, false
 	}
 	return spec, req, true
+}
+
+// decodeBody strictly decodes a JSON request body into v (unknown
+// fields rejected), writing the 400 itself on failure.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decode request: %w", err))
+		return false
+	}
+	return true
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -214,6 +223,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j, cached, coalesced, err := s.SubmitTimeout(spec, reps, timeout)
+	s.writeSubmitted(w, j, cached, coalesced, err)
+}
+
+// writeSubmitted answers POST /v1/jobs and /v1/campaigns: 503 (with
+// Retry-After) on a full queue, 503 once closed, 400 for an invalid
+// study, otherwise the SubmitResponse — 200 for a cache hit, 202 for a
+// queued or coalesced job.
+func (s *Server) writeSubmitted(w http.ResponseWriter, j *Job, cached, coalesced bool, err error) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", retryAfterValue(s.RetryAfter()))
@@ -259,11 +276,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if cached {
-		w.Header().Set("X-Cache", "hit")
-	} else {
-		w.Header().Set("X-Cache", "miss")
-	}
+	w.Header().Set("X-Cache", xCache(cached))
 	if r.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.Write([]byte(text))
@@ -296,11 +309,8 @@ type CampaignRequest struct {
 // response mirrors POST /v1/jobs; an X-Cache header reports whether
 // the whole campaign was answered from the result cache.
 func (s *Server) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req CampaignRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decode request: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Campaign) == 0 {
@@ -318,29 +328,18 @@ func (s *Server) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j, cached, coalesced, err := s.SubmitCampaignTimeout(spec, timeout)
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After", retryAfterValue(s.RetryAfter()))
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case errors.Is(err, ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
-		return
+	if err == nil {
+		w.Header().Set("X-Cache", xCache(cached))
 	}
-	status := http.StatusAccepted
+	s.writeSubmitted(w, j, cached, coalesced, err)
+}
+
+// xCache is the X-Cache header value of a cached/computed answer.
+func xCache(cached bool) string {
 	if cached {
-		status = http.StatusOK
-		w.Header().Set("X-Cache", "hit")
-	} else {
-		w.Header().Set("X-Cache", "miss")
+		return "hit"
 	}
-	writeJSON(w, status, SubmitResponse{
-		ID: j.ID(), Key: j.Key(), State: j.Status().State,
-		Cached: cached, Coalesced: coalesced,
-	})
+	return "miss"
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

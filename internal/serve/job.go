@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -82,60 +83,43 @@ func traceStages(stages []obs.Stage) []TraceStage {
 	return out
 }
 
-// Result is the JSON a finished job serves: the aggregated replication
-// report plus the exact plain-text rendering the sim1901 CLI would
-// print for the same spec. The text is part of the payload so the
-// bit-identical guarantee is checkable end to end: cached, coalesced,
-// freshly computed and CLI output all compare byte-for-byte.
-type Result struct {
-	// Key is the study's content address (scenario.Fingerprint).
-	Key string `json:"key"`
-	// Report is the aggregated outcome: normalized spec, replication
-	// count, per-point seeds, metric summaries and raw per-rep metrics.
-	Report *scenario.Report `json:"report"`
-	// Text is the scenario.Report.Write rendering of Report.
-	Text string `json:"text"`
-}
-
-// encodeResult renders a report into a cache entry: the verbatim JSON
-// bytes served for the result and the CLI-identical text rendering.
-func encodeResult(key string, rep *scenario.Report) (entry, error) {
-	var buf bytes.Buffer
-	if err := rep.Write(&buf); err != nil {
-		return entry{}, fmt.Errorf("serve: render report: %w", err)
-	}
-	res := Result{Key: key, Report: rep, Text: buf.String()}
-	data, err := json.Marshal(res)
-	if err != nil {
-		return entry{}, fmt.Errorf("serve: marshal result: %w", err)
-	}
-	return entry{key: key, json: append(data, '\n'), text: buf.String()}, nil
-}
+// Result is the JSON a finished scenario job serves: the aggregated
+// replication report (normalized spec, replication count, per-point
+// seeds, metric summaries and raw per-rep metrics) plus the exact
+// plain-text rendering the sim1901 CLI would print for the same spec.
+// The text is part of the payload so the bit-identical guarantee is
+// checkable end to end: cached, coalesced, freshly computed and CLI
+// output all compare byte-for-byte.
+type Result = envelope[*scenario.Report]
 
 // CampaignResult is the JSON a finished campaign job serves: the
 // campaign report (normalized spec, every grid point's replication
 // report and content address) plus the exact text rendering the
 // `sim1901 -campaign` CLI prints for the same file. It shares the
 // key/text envelope with Result, so both kinds live in one cache.
-type CampaignResult struct {
-	// Key is the campaign's content address (campaign.Fingerprint).
+type CampaignResult = envelope[*campaign.Report]
+
+// envelope is the result JSON of either study kind.
+type envelope[R any] struct {
+	// Key is the study's content address (scenario.Fingerprint or
+	// campaign.Fingerprint).
 	Key string `json:"key"`
-	// Report is the grid outcome, one PointResult per grid point.
-	Report *campaign.Report `json:"report"`
-	// Text is the campaign.Report.Write rendering of Report.
+	// Report is the study's outcome.
+	Report R `json:"report"`
+	// Text is the report's Write rendering — the CLI's output.
 	Text string `json:"text"`
 }
 
-// encodeCampaignResult renders a campaign report into a cache entry.
-func encodeCampaignResult(key string, rep *campaign.Report) (entry, error) {
+// encodeResult renders a report into a cache entry: the verbatim
+// envelope JSON served for the result and the CLI-identical text.
+func encodeResult[R interface{ Write(io.Writer) error }](key string, rep R) (entry, error) {
 	var buf bytes.Buffer
 	if err := rep.Write(&buf); err != nil {
-		return entry{}, fmt.Errorf("serve: render campaign report: %w", err)
+		return entry{}, fmt.Errorf("serve: render report: %w", err)
 	}
-	res := CampaignResult{Key: key, Report: rep, Text: buf.String()}
-	data, err := json.Marshal(res)
+	data, err := json.Marshal(envelope[R]{Key: key, Report: rep, Text: buf.String()})
 	if err != nil {
-		return entry{}, fmt.Errorf("serve: marshal campaign result: %w", err)
+		return entry{}, fmt.Errorf("serve: marshal result: %w", err)
 	}
 	return entry{key: key, json: append(data, '\n'), text: buf.String()}, nil
 }
@@ -176,16 +160,32 @@ type Status struct {
 	Trace []TraceStage `json:"trace,omitempty"`
 }
 
-// Job is one admitted study — a scenario replication study, or (when
-// camp is non-nil) a whole campaign riding the same queue. All mutable
-// fields are guarded by mu; cond broadcasts on every mutation so
-// streamers can follow along.
+// study is what a job runs, of either kind: built by scenarioStudy or
+// campaignStudy, from a request or from a journal record.
+type study struct {
+	kind string // kindScenario or kindCampaign
+	name string // display name (Status.Scenario)
+	key  string // content address
+	reps int    // admitted replications per point (0 for campaigns)
+	// totalReps and totalPoints are the study's size, published when it
+	// starts or is answered from the cache: reps × points for a
+	// scenario, grid points for a campaign (whose replication total
+	// arrives through progress as adaptive batches are scheduled).
+	totalReps, totalPoints int
+	// run executes the study on a worker (nil for cache-hit answers).
+	run runner
+}
+
+// runner executes a study under ctx, reporting progress to j.
+type runner func(ctx context.Context, j *Job) (entry, error)
+
+// Job is one admitted study. The study is fixed at admission, except
+// run, which only the worker that dequeues the job reads and clears.
+// All other mutable fields are guarded by mu; cond broadcasts on every
+// mutation so streamers can follow along.
 type Job struct {
-	id       string
-	key      string
-	compiled *scenario.Compiled // scenario jobs
-	camp     *campaign.Compiled // campaign jobs
-	reps     int
+	study
+	id string
 	// seq is the job's journal sequence number (0 without a journal, or
 	// for cached/coalesced answers that never queued). Written once
 	// during admission under Server.mu, read by the finishing worker —
@@ -214,22 +214,15 @@ type Job struct {
 	cancel      context.CancelFunc
 }
 
-func newJob(id, key string, c *scenario.Compiled, reps int) *Job {
-	j := &Job{id: id, key: key, compiled: c, reps: reps, state: StateQueued}
-	j.cond = sync.NewCond(&j.mu)
-	j.trace.Mark(traceAccepted)
-	return j
-}
-
-func newCampaignJob(id, key string, c *campaign.Compiled) *Job {
-	j := &Job{id: id, key: key, camp: c, state: StateQueued}
+func newJob(id string, st study) *Job {
+	j := &Job{study: st, id: id, state: StateQueued}
 	j.cond = sync.NewCond(&j.mu)
 	j.trace.Mark(traceAccepted)
 	return j
 }
 
 // IsCampaign reports whether the job runs a campaign.
-func (j *Job) IsCampaign() bool { return j.camp != nil }
+func (j *Job) IsCampaign() bool { return j.kind == kindCampaign }
 
 // ID returns the job's server-unique identifier.
 func (j *Job) ID() string { return j.id }
@@ -248,6 +241,7 @@ func (j *Job) statusLocked() Status {
 	st := Status{
 		ID:          j.id,
 		Key:         j.key,
+		Scenario:    j.name,
 		State:       j.state,
 		Reps:        j.reps,
 		Done:        j.done,
@@ -259,11 +253,8 @@ func (j *Job) statusLocked() Status {
 		Error:       j.errMsg,
 		Trace:       traceStages(j.trace.Stages()),
 	}
-	if j.camp != nil {
-		st.Scenario = j.camp.Spec.Name
-		st.Kind = "campaign"
-	} else {
-		st.Scenario = j.compiled.Spec.Name
+	if j.kind != kindScenario {
+		st.Kind = j.kind
 	}
 	return st
 }
@@ -334,14 +325,7 @@ func (j *Job) start(parent context.Context) (ctx context.Context, ok bool) {
 	}
 	j.state = StateRunning
 	j.trace.Mark(traceRunning)
-	if j.camp != nil {
-		// Replication totals arrive through the campaign's progress
-		// callback (they grow with adaptive batches); the point count
-		// is known up front.
-		j.pointsTotal = len(j.camp.Points)
-	} else {
-		j.total = len(j.compiled.Points) * j.reps
-	}
+	j.total, j.pointsTotal = j.totalReps, j.totalPoints
 	j.cond.Broadcast()
 	return ctx, true
 }
@@ -413,15 +397,7 @@ func (j *Job) completeFromCache(ent entry) {
 	j.cached = true
 	j.trace.Mark(string(StateDone))
 	j.result, j.text = ent.json, ent.text
-	if j.camp != nil {
-		// GridSize, not len(Points): a cache-hit campaign job carries
-		// an unexpanded Compiled (the whole point of hitting the cache
-		// is skipping expansion).
-		j.pointsTotal = j.camp.Spec.GridSize()
-		j.pointsDone = j.pointsTotal
-	} else {
-		j.total = len(j.compiled.Points) * j.reps
-		j.done = j.total
-	}
+	j.total, j.pointsTotal = j.totalReps, j.totalPoints
+	j.done, j.pointsDone = j.total, j.pointsTotal
 	j.cond.Broadcast()
 }

@@ -17,8 +17,7 @@ import (
 type metrics struct {
 	reg *obs.Registry
 
-	subScenario       *obs.Counter // submissions_total{kind="scenario"}
-	subCampaign       *obs.Counter // submissions_total{kind="campaign"}
+	kinds             map[string]*kindMetrics // by job kind label
 	rejected          *obs.Counter
 	cacheHits         *obs.Counter
 	diskCacheHits     *obs.Counter
@@ -34,11 +33,18 @@ type metrics struct {
 	registryOverflow  *obs.Counter
 
 	queueWait    *obs.Histogram
-	svcScenario  *obs.Histogram // job_service_seconds{kind="scenario"}
-	svcCampaign  *obs.Histogram
-	e2eScenario  *obs.Histogram // job_e2e_seconds{kind="scenario"}
-	e2eCampaign  *obs.Histogram
 	predictSolve *obs.Histogram
+}
+
+// kindMetrics are one job kind's resolved series.
+type kindMetrics struct {
+	submissions *obs.Counter   // submissions_total{kind}
+	service     *obs.Histogram // job_service_seconds{kind}
+	e2e         *obs.Histogram // job_e2e_seconds{kind}
+	// cacheHits counts whole-study cache hits in the kind's own family
+	// (campaign_cache_hits_total); nil for scenario jobs, which have
+	// only the shared cache_hits_total.
+	cacheHits *obs.Counter
 }
 
 // Job kinds as metric label values.
@@ -58,8 +64,6 @@ func newMetrics(s *Server) *metrics {
 
 	subs := r.NewCounterVec("plcsrv_submissions_total",
 		"Accepted submissions by kind (queued, cached and coalesced alike; rejections are not counted).", "kind")
-	m.subScenario = subs.With(kindScenario)
-	m.subCampaign = subs.With(kindCampaign)
 	m.rejected = r.NewCounter("plcsrv_rejected_total",
 		"Submissions refused because the job queue was full.")
 	m.cacheHits = r.NewCounter("plcsrv_cache_hits_total",
@@ -99,12 +103,13 @@ func newMetrics(s *Server) *metrics {
 		"Time jobs spent queued before a worker picked them up.", bounds)
 	svc := r.NewHistogramVec("plcsrv_job_service_seconds",
 		"Wall-clock execution time of jobs that ran, by kind.", bounds, "kind")
-	m.svcScenario = svc.With(kindScenario)
-	m.svcCampaign = svc.With(kindCampaign)
 	e2e := r.NewHistogramVec("plcsrv_job_e2e_seconds",
 		"Acceptance-to-terminal latency by kind (cache hits included).", bounds, "kind")
-	m.e2eScenario = e2e.With(kindScenario)
-	m.e2eCampaign = e2e.With(kindCampaign)
+	m.kinds = make(map[string]*kindMetrics, 2)
+	for _, kind := range []string{kindScenario, kindCampaign} {
+		m.kinds[kind] = &kindMetrics{submissions: subs.With(kind), service: svc.With(kind), e2e: e2e.With(kind)}
+	}
+	m.kinds[kindCampaign].cacheHits = m.campaignCacheHits
 	m.predictSolve = r.NewHistogram("plcsrv_predict_solve_seconds",
 		"Analytic solve time of prediction cache misses (leaders only).", bounds)
 
@@ -156,37 +161,6 @@ func newMetrics(s *Server) *metrics {
 			return float64(len(s.order))
 		})
 	return m
-}
-
-// kindOf maps a job to its metric label value.
-func kindOf(j *Job) string {
-	if j.IsCampaign() {
-		return kindCampaign
-	}
-	return kindScenario
-}
-
-// svcFor and e2eFor pick the per-kind histogram handle.
-func (m *metrics) svcFor(j *Job) *obs.Histogram {
-	if j.IsCampaign() {
-		return m.svcCampaign
-	}
-	return m.svcScenario
-}
-
-func (m *metrics) e2eFor(j *Job) *obs.Histogram {
-	if j.IsCampaign() {
-		return m.e2eCampaign
-	}
-	return m.e2eScenario
-}
-
-// subFor picks the per-kind submissions counter.
-func (m *metrics) subFor(j *Job) *obs.Counter {
-	if j.IsCampaign() {
-		return m.subCampaign
-	}
-	return m.subScenario
 }
 
 // finishedCount sums a terminal state's count across kinds (the

@@ -382,49 +382,104 @@ func (c Config) effectiveTimeout(req time.Duration) time.Duration {
 // cancelled into StateTimedOut if it runs longer than timeout
 // (capped at Config.JobTimeout; ≤ 0 inherits it).
 func (s *Server) SubmitTimeout(spec scenario.Spec, reps int, timeout time.Duration) (job *Job, cached, coalesced bool, err error) {
+	sub, err := s.scenarioStudy(spec, reps)
+	if err != nil {
+		return nil, false, false, err
+	}
+	return s.admit(sub, timeout)
+}
+
+// submission is a study on its way through admission, with what only
+// admission needs: the job ID prefix, the journal accept record, and
+// the deferred compile of the study's runner.
+type submission struct {
+	study
+	idPrefix string // "j" for scenario jobs, "c" for campaigns
+	// accept is the journal accept record minus Seq, Op and TimeoutS;
+	// its canonical spec bytes are marshaled only with a journal.
+	accept journalRecord
+	// compile builds the study's runner. admit calls it only on a cache
+	// miss, still outside the server lock, so a cache-hit resubmission
+	// of a large campaign never pays for grid expansion.
+	compile func() (runner, error)
+}
+
+// scenarioStudy validates, compiles and fingerprints a scenario
+// submission; its runner fans the replications across the par pool.
+func (s *Server) scenarioStudy(spec scenario.Spec, reps int) (submission, error) {
 	if reps < 1 || reps > s.cfg.MaxReps {
-		return nil, false, false, fmt.Errorf("serve: \"reps\" = %d outside 1–%d", reps, s.cfg.MaxReps)
+		return submission{}, fmt.Errorf("serve: \"reps\" = %d outside 1–%d", reps, s.cfg.MaxReps)
 	}
 	compiled, err := scenario.Compile(spec)
 	if err != nil {
-		return nil, false, false, err
+		return submission{}, err
 	}
 	if compiled.Spec.Engine == scenario.EngineModel {
 		reps = 1
 	}
 	key, err := scenario.Fingerprint(spec, reps)
 	if err != nil {
-		return nil, false, false, err
+		return submission{}, err
 	}
-	// The canonical spec bytes the journal needs: marshal the compiled
-	// (normalized) spec up front so the admission path below never
-	// fails on it.
-	var canon json.RawMessage
+	sub := submission{
+		study: study{
+			kind: kindScenario, name: compiled.Spec.Name, key: key,
+			reps: reps, totalReps: len(compiled.Points) * reps,
+		},
+		idPrefix: "j",
+		accept:   journalRecord{Kind: kindScenario, Key: key, Reps: reps},
+	}
 	if s.journal != nil {
-		if canon, err = json.Marshal(compiled.Spec); err != nil {
-			return nil, false, false, fmt.Errorf("serve: canonicalize spec: %w", err)
+		if sub.accept.Spec, err = json.Marshal(compiled.Spec); err != nil {
+			return submission{}, fmt.Errorf("serve: canonicalize spec: %w", err)
 		}
 	}
-	// The cache lookup — which may fault a result in from disk — runs
-	// before the server lock, so slow I/O never stalls unrelated
-	// handlers. The miss-then-computed race this opens (another
-	// identical job completing in between) at worst recomputes a
-	// bit-identical result.
-	ent, disk, hit := s.cache.get(key)
+	run := func(ctx context.Context, j *Job) (entry, error) {
+		rep, err := scenario.ReplicationsOpts(compiled, reps, s.cfg.RepWorkers, scenario.Options{
+			Context:  ctx,
+			Progress: s.progressFn(j),
+		})
+		if err != nil {
+			return entry{}, err
+		}
+		return encodeResult(key, rep)
+	}
+	sub.compile = func() (runner, error) { return run, nil }
+	return sub, nil
+}
+
+// admit is the one admission path of both study kinds. The cache
+// lookup — which may fault a result in from disk — runs before the
+// server lock, so slow I/O never stalls unrelated handlers; the
+// miss-then-computed race this opens (another identical job completing
+// in between) at worst recomputes a bit-identical result. Under the
+// lock the submission is answered from the cache, coalesced onto an
+// identical in-flight job, queued, or rejected; the accept is
+// journaled (fsynced) after the lock is released.
+func (s *Server) admit(sub submission, timeout time.Duration) (job *Job, cached, coalesced bool, err error) {
+	ent, disk, hit := s.cache.get(sub.key)
+	if !hit {
+		if sub.run, err = sub.compile(); err != nil {
+			return nil, false, false, err
+		}
+	}
+	km := s.metrics.kinds[sub.kind]
 
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, false, false, ErrClosed
 	}
-
 	if hit {
-		s.metrics.subScenario.Inc()
+		km.submissions.Inc()
 		s.metrics.cacheHits.Inc()
+		if km.cacheHits != nil {
+			km.cacheHits.Inc()
+		}
 		if disk {
 			s.metrics.diskCacheHits.Inc()
 		}
-		j := s.newJobLocked(key, compiled, reps)
+		j := s.registerLocked(newJob(s.nextIDLocked(sub.idPrefix), sub.study))
 		j.completeFromCache(ent)
 		s.mu.Unlock()
 		s.observeE2E(j)
@@ -434,18 +489,18 @@ func (s *Server) SubmitTimeout(spec scenario.Spec, reps int, timeout time.Durati
 	// cancelled while queued (terminal but still occupying the slot
 	// until a worker dequeues it); attaching there would answer a
 	// valid submission with 410 Gone.
-	if j, ok := s.inflight[key]; ok && !j.Status().State.Terminal() {
-		s.metrics.subScenario.Inc()
+	if j, ok := s.inflight[sub.key]; ok && !j.Status().State.Terminal() {
+		km.submissions.Inc()
 		s.metrics.coalesced.Inc()
 		s.mu.Unlock()
 		return j, false, true, nil
 	}
 
-	j := s.newJobLocked(key, compiled, reps)
+	j := s.registerLocked(newJob(s.nextIDLocked(sub.idPrefix), sub.study))
 	j.timeout = s.cfg.effectiveTimeout(timeout)
 	select {
 	case s.queue <- j:
-		s.metrics.subScenario.Inc()
+		km.submissions.Inc()
 		j.trace.Mark(traceQueued)
 	default:
 		// Undo the registration: the job was never admitted (nothing
@@ -456,7 +511,7 @@ func (s *Server) SubmitTimeout(spec scenario.Spec, reps int, timeout time.Durati
 		s.mu.Unlock()
 		return nil, false, false, ErrQueueFull
 	}
-	s.inflight[key] = j
+	s.inflight[sub.key] = j
 	if s.journal != nil {
 		j.seq = s.journal.next()
 	}
@@ -465,10 +520,9 @@ func (s *Server) SubmitTimeout(spec scenario.Spec, reps int, timeout time.Durati
 	// may already be running; if it finishes before this lands, the
 	// journal collapses the accept/end pair to nothing.
 	if s.journal != nil {
-		s.journal.accept(journalRecord{
-			Seq: j.seq, Op: "accept", Kind: "scenario", Key: key,
-			Spec: canon, Reps: reps, TimeoutS: j.timeout.Seconds(),
-		})
+		rec := sub.accept
+		rec.Seq, rec.Op, rec.TimeoutS = j.seq, "accept", j.timeout.Seconds()
+		s.journal.accept(rec)
 	}
 	return j, false, false, nil
 }
@@ -569,87 +623,61 @@ func (s *Server) SubmitCampaign(spec campaign.Spec) (job *Job, cached, coalesced
 // SubmitCampaignTimeout is SubmitCampaign with a per-request deadline
 // (capped at Config.JobTimeout; ≤ 0 inherits it).
 func (s *Server) SubmitCampaignTimeout(spec campaign.Spec, timeout time.Duration) (job *Job, cached, coalesced bool, err error) {
-	norm, err := spec.Normalized()
+	sub, err := s.campaignStudy(spec)
 	if err != nil {
 		return nil, false, false, err
 	}
+	return s.admit(sub, timeout)
+}
+
+// campaignStudy validates and fingerprints a campaign submission; its
+// runner drives campaign.Run against the server's content-addressed
+// cache, so every grid point and replication batch the cache already
+// knows is adopted instead of simulated, and everything computed is
+// published for future campaigns and direct submissions alike.
+func (s *Server) campaignStudy(spec campaign.Spec) (submission, error) {
+	norm, err := spec.Normalized()
+	if err != nil {
+		return submission{}, err
+	}
 	if cap := campaignRepCap(norm); cap > s.cfg.MaxReps {
-		return nil, false, false, fmt.Errorf("serve: campaign %s requests up to %d reps per point, outside 1–%d",
+		return submission{}, fmt.Errorf("serve: campaign %s requests up to %d reps per point, outside 1–%d",
 			norm.Name, cap, s.cfg.MaxReps)
 	}
 	key, err := campaign.Fingerprint(norm)
 	if err != nil {
-		return nil, false, false, err
+		return submission{}, err
 	}
-	var canon json.RawMessage
+	sub := submission{
+		study:    study{kind: kindCampaign, name: norm.Name, key: key, totalPoints: norm.GridSize()},
+		idPrefix: "c",
+		accept:   journalRecord{Kind: kindCampaign, Key: key},
+	}
 	if s.journal != nil {
-		if canon, err = json.Marshal(norm); err != nil {
-			return nil, false, false, fmt.Errorf("serve: canonicalize campaign: %w", err)
+		if sub.accept.Campaign, err = json.Marshal(norm); err != nil {
+			return submission{}, fmt.Errorf("serve: canonicalize campaign: %w", err)
 		}
 	}
-	ent, disk, hit := s.cache.get(key)
-	// Grid expansion is O(points) of JSON work; a cache-hit
-	// resubmission of a large campaign must not pay it. The compile
-	// therefore runs only on a miss, still outside the server lock.
-	// (The miss-then-completed race wastes at worst one expansion.)
-	var compiled *campaign.Compiled
-	if !hit {
-		compiled, err = campaign.Compile(norm)
+	sub.compile = func() (runner, error) {
+		compiled, err := campaign.Compile(norm)
 		if err != nil {
-			return nil, false, false, err
+			return nil, err
 		}
+		return func(ctx context.Context, j *Job) (entry, error) {
+			rep, err := campaign.Run(compiled, campaign.Opts{
+				Workers:   s.cfg.RepWorkers,
+				Context:   ctx,
+				Cache:     (*pointCache)(s),
+				Progress:  s.progressFn(j),
+				PointDone: j.setPoints,
+			})
+			if err != nil {
+				return entry{}, err
+			}
+			return encodeResult(key, rep)
+		}, nil
 	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, false, false, ErrClosed
-	}
-	if hit {
-		s.metrics.subCampaign.Inc()
-		s.metrics.cacheHits.Inc()
-		s.metrics.campaignCacheHits.Inc()
-		if disk {
-			s.metrics.diskCacheHits.Inc()
-		}
-		j := s.registerLocked(newCampaignJob(s.nextIDLocked("c"), key, &campaign.Compiled{Spec: norm}))
-		j.completeFromCache(ent)
-		s.mu.Unlock()
-		s.observeE2E(j)
-		return j, true, false, nil
-	}
-	if j, ok := s.inflight[key]; ok && !j.Status().State.Terminal() {
-		s.metrics.subCampaign.Inc()
-		s.metrics.coalesced.Inc()
-		s.mu.Unlock()
-		return j, false, true, nil
-	}
-
-	j := s.registerLocked(newCampaignJob(s.nextIDLocked("c"), key, compiled))
-	j.timeout = s.cfg.effectiveTimeout(timeout)
-	select {
-	case s.queue <- j:
-		s.metrics.subCampaign.Inc()
-		j.trace.Mark(traceQueued)
-	default:
-		delete(s.jobs, j.id)
-		s.order = s.order[:len(s.order)-1]
-		s.metrics.rejected.Inc()
-		s.mu.Unlock()
-		return nil, false, false, ErrQueueFull
-	}
-	s.inflight[key] = j
-	if s.journal != nil {
-		j.seq = s.journal.next()
-	}
-	s.mu.Unlock()
-	if s.journal != nil {
-		s.journal.accept(journalRecord{
-			Seq: j.seq, Op: "accept", Kind: "campaign", Key: key,
-			Campaign: canon, TimeoutS: j.timeout.Seconds(),
-		})
-	}
-	return j, false, false, nil
+	return sub, nil
 }
 
 // campaignRepCap is the largest per-point replication count a campaign
@@ -659,11 +687,6 @@ func campaignRepCap(s campaign.Spec) int {
 		return s.MaxReps
 	}
 	return s.Reps
-}
-
-// newJobLocked registers a new scenario job; s.mu must be held.
-func (s *Server) newJobLocked(key string, c *scenario.Compiled, reps int) *Job {
-	return s.registerLocked(newJob(s.nextIDLocked("j"), key, c, reps))
 }
 
 // nextIDLocked mints the next job ID with the given kind prefix
@@ -728,13 +751,13 @@ func (s *Server) Jobs() []*Job {
 func (s *Server) Stats() (Counters, int) {
 	m := s.metrics
 	c := Counters{
-		Submissions:       int64(m.subScenario.Value() + m.subCampaign.Value()),
+		Submissions:       int64(m.kinds[kindScenario].submissions.Value() + m.kinds[kindCampaign].submissions.Value()),
 		CacheHits:         int64(m.cacheHits.Value()),
 		DiskCacheHits:     int64(m.diskCacheHits.Value()),
 		Coalesced:         int64(m.coalesced.Value()),
 		Predictions:       int64(m.predictions.Value()),
 		PredictCacheHits:  int64(m.predictCacheHits.Value()),
-		Campaigns:         int64(m.subCampaign.Value()),
+		Campaigns:         int64(m.kinds[kindCampaign].submissions.Value()),
 		CampaignCacheHits: int64(m.campaignCacheHits.Value()),
 		CampaignPointHits: int64(m.campaignPointHits.Value()),
 		PredictCoalesced:  int64(m.predictCoalesced.Value()),
@@ -833,6 +856,10 @@ func (s *Server) worker() {
 // the worker goroutine and every other job survive.
 func (s *Server) runJob(j *Job) {
 	started := obs.Now() // operational timing only; never feeds results
+	// The registry keeps finished jobs around; dropping the runner here
+	// lets their compiled plans go. Only this worker reads j.run.
+	run := j.run
+	j.run = nil
 	defer func() {
 		if v := recover(); v != nil {
 			err := &par.PanicError{Value: v, Stack: debug.Stack()}
@@ -849,22 +876,7 @@ func (s *Server) runJob(j *Job) {
 	if wait, ok := j.trace.Between(traceQueued, traceRunning); ok {
 		s.metrics.queueWait.Observe(wait.Seconds())
 	}
-	var (
-		ent entry
-		err error
-	)
-	if j.camp != nil {
-		ent, err = s.runCampaignJob(j, ctx)
-	} else {
-		var rep *scenario.Report
-		rep, err = scenario.ReplicationsOpts(j.compiled, j.reps, s.cfg.RepWorkers, scenario.Options{
-			Context:  ctx,
-			Progress: s.progressFn(j),
-		})
-		if err == nil {
-			ent, err = encodeResult(j.key, rep)
-		}
-	}
+	ent, err := run(ctx, j)
 	svc := obs.Since(started)
 	state, panicked := classify(ctx, err)
 	if err != nil {
@@ -911,25 +923,6 @@ func (s *Server) progressFn(j *Job) func(done, total int) {
 		hook()
 		j.setProgress(done, total)
 	}
-}
-
-// runCampaignJob executes one dequeued campaign job: the grid runs
-// through campaign.Run against the server's content-addressed cache, so
-// every grid point and replication batch the cache already knows is
-// adopted instead of simulated, and everything computed is published
-// for future campaigns and direct submissions alike.
-func (s *Server) runCampaignJob(j *Job, ctx context.Context) (entry, error) {
-	rep, err := campaign.Run(j.camp, campaign.Opts{
-		Workers:   s.cfg.RepWorkers,
-		Context:   ctx,
-		Cache:     (*pointCache)(s),
-		Progress:  s.progressFn(j),
-		PointDone: j.setPoints,
-	})
-	if err != nil {
-		return entry{}, err
-	}
-	return encodeCampaignResult(j.key, rep)
 }
 
 // pointCache adapts the server's result cache to campaign.Cache: grid
@@ -983,12 +976,12 @@ func (s *Server) finishJob(j *Job, state State, svc time.Duration, panicked bool
 		s.abandoned++
 	}
 	s.mu.Unlock()
-	s.metrics.finished.With(kindOf(j), string(state)).Inc()
+	s.metrics.finished.With(j.kind, string(state)).Inc()
 	if panicked {
 		s.metrics.panics.Inc()
 	}
 	if svc > 0 {
-		s.metrics.svcFor(j).Observe(svc.Seconds())
+		s.metrics.kinds[j.kind].service.Observe(svc.Seconds())
 	}
 	s.observeE2E(j)
 	// Journal outside s.mu: the end record write is disk I/O.
@@ -1011,7 +1004,7 @@ func (s *Server) observeE2E(j *Job) {
 	if !State(last.Name).Terminal() {
 		return
 	}
-	s.metrics.e2eFor(j).Observe(last.At.Sub(stages[0].At).Seconds())
+	s.metrics.kinds[j.kind].e2e.Observe(last.At.Sub(stages[0].At).Seconds())
 }
 
 // replay re-admits the journal's unfinished jobs after a restart. It
@@ -1034,47 +1027,46 @@ func (s *Server) replay(pending []journalRecord) {
 // replayOne re-admits one journaled accept, blocking (politely) while
 // the queue is full — recovery must not drop jobs to ErrQueueFull.
 func (s *Server) replayOne(rec journalRecord) {
-	timeout := time.Duration(rec.TimeoutS * float64(time.Second))
-	for {
-		var (
-			j   *Job
-			err error
-		)
-		switch rec.Kind {
-		case "scenario":
-			var spec scenario.Spec
-			if err = json.Unmarshal(rec.Spec, &spec); err == nil {
-				j, _, _, err = s.SubmitTimeout(spec, rec.Reps, timeout)
-			}
-		case "campaign":
-			var spec campaign.Spec
-			if err = json.Unmarshal(rec.Campaign, &spec); err == nil {
-				j, _, _, err = s.SubmitCampaignTimeout(spec, timeout)
-			}
+	sub, err := s.recordStudy(rec)
+	var j *Job
+	for err == nil {
+		if j, _, _, err = s.admit(sub, time.Duration(rec.TimeoutS*float64(time.Second))); !errors.Is(err, ErrQueueFull) {
+			break
 		}
-		switch {
-		case errors.Is(err, ErrQueueFull):
-			// Someone beat the replay to the queue; wait for room.
-			time.Sleep(10 * time.Millisecond)
-			continue
-		case errors.Is(err, ErrClosed):
-			// Shut down before the replay finished; the record stays
-			// live in the journal and the next start replays it.
-			return
-		case err != nil:
-			// The record no longer admits (an incompatible spec from an
-			// older build, say). Log and retire it — replaying it forever
-			// would wedge every future start.
-			log.Printf("serve: journal: dropping unreplayable record seq %d: %v", rec.Seq, err)
-			s.journal.end(rec.Seq, StateFailed)
-			return
-		default:
-			if j != nil {
-				j.markReplayed()
-			}
-			s.metrics.replayed.Inc()
-			s.journal.end(rec.Seq, StateCancelled) // retire the old seq; the resubmission owns a new one
-			return
-		}
+		// Someone beat the replay to the queue; wait for room.
+		time.Sleep(10 * time.Millisecond)
 	}
+	switch {
+	case errors.Is(err, ErrClosed):
+		// Shut down before the replay finished; the record stays live
+		// in the journal and the next start replays it.
+	case err != nil:
+		// The record no longer admits (an incompatible spec from an
+		// older build, say). Log and retire it — replaying it forever
+		// would wedge every future start.
+		log.Printf("serve: journal: dropping unreplayable record seq %d: %v", rec.Seq, err)
+		s.journal.end(rec.Seq, StateFailed)
+	default:
+		j.markReplayed()
+		s.metrics.replayed.Inc()
+		s.journal.end(rec.Seq, StateCancelled) // retire the old seq; the resubmission owns a new one
+	}
+}
+
+// recordStudy rebuilds a journaled accept's submission through the
+// same constructor a live request uses — same validation, same
+// fingerprint.
+func (s *Server) recordStudy(rec journalRecord) (submission, error) {
+	if rec.Kind == kindCampaign {
+		var spec campaign.Spec
+		if err := json.Unmarshal(rec.Campaign, &spec); err != nil {
+			return submission{}, err
+		}
+		return s.campaignStudy(spec)
+	}
+	var spec scenario.Spec
+	if err := json.Unmarshal(rec.Spec, &spec); err != nil {
+		return submission{}, err
+	}
+	return s.scenarioStudy(spec, rec.Reps)
 }

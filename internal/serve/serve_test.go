@@ -248,7 +248,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 	}
 	// A rejected submission must leave no ghost job behind.
 	for _, j := range s.Jobs() {
-		if j.compiled.Spec.Name == "overflow" {
+		if j.Status().Scenario == "overflow" {
 			t.Error("rejected job still registered")
 		}
 	}
