@@ -3,6 +3,7 @@ package mac
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/backoff"
 	"repro/internal/config"
@@ -147,7 +148,8 @@ type Network struct {
 
 	clock     float64
 	observers []Observer
-	stats     Stats
+	stats     Stats // PerClass stays nil: Stats() builds it from perClass
+	perClass  [config.CA3 + 1]ClassStats
 
 	beaconPeriod float64
 	nextBeacon   float64
@@ -194,7 +196,6 @@ func NewNetworkCfg(cfg Config) *Network {
 		overheads: timing.DefaultOverheads(),
 		errModel:  phy.None{},
 	}
-	n.stats.PerClass = make(map[config.Priority]*ClassStats)
 	if cfg.Overheads != nil {
 		n.SetOverheads(*cfg.Overheads)
 	}
@@ -280,22 +281,14 @@ func (n *Network) Now() float64 { return n.clock }
 // Stats returns a copy of the aggregate statistics so far.
 func (n *Network) Stats() Stats {
 	out := n.stats
-	out.PerClass = make(map[config.Priority]*ClassStats, len(n.stats.PerClass))
-	for k, v := range n.stats.PerClass {
-		c := *v
-		out.PerClass[k] = &c
+	out.PerClass = make(map[config.Priority]*ClassStats)
+	for pri, c := range n.perClass {
+		if c != (ClassStats{}) {
+			out.PerClass[config.Priority(pri)] = &c
+		}
 	}
 	out.AccessDelays = append([]float64(nil), n.stats.AccessDelays...)
 	return out
-}
-
-func (n *Network) classStats(pri config.Priority) *ClassStats {
-	c := n.stats.PerClass[pri]
-	if c == nil {
-		c = &ClassStats{}
-		n.stats.PerClass[pri] = c
-	}
-	return c
 }
 
 func (n *Network) emit(ev Event) {
@@ -336,11 +329,12 @@ func (n *Network) step(end float64) {
 	// Priority resolution: each station that intends to contend
 	// signals its class in the two priority-resolution slots; the tone
 	// protocol elects the highest contending class and every lower
-	// class defers (its engines freeze).
+	// class defers (its engines freeze). This is the step's one pass
+	// over the flows: contender selection reads the same masks.
 	classes := n.classScratch[:0]
 	for _, s := range n.stations {
-		if pri, ok := s.highestPending(now); ok {
-			classes = append(classes, pri)
+		if s.pending = s.pendingMask(now); s.pending != 0 {
+			classes = append(classes, config.Priority(bits.Len8(s.pending)-1))
 		}
 	}
 	n.classScratch = classes[:0]
@@ -368,7 +362,7 @@ func (n *Network) step(end float64) {
 	contenders := n.contenderScratch[:0]
 	txs := n.txScratch[:0]
 	for _, s := range n.stations {
-		if !s.pendingAt(activeClass, now) {
+		if s.pending&(1<<activeClass) == 0 {
 			continue
 		}
 		contenders = append(contenders, s)
@@ -467,7 +461,7 @@ func (n *Network) frameError(w *Station, pri config.Priority, now float64) {
 	n.stats.FrameErrors++
 	n.stats.FrameErrorMPDUs += int64(k)
 	n.stats.ErroredPBs += int64(k * spec.PBsPerMPDU)
-	n.classStats(pri).FrameErrors++
+	n.perClass[pri].FrameErrors++
 	n.clock = now + d
 	if observed {
 		n.emit(Event{
@@ -601,7 +595,7 @@ func (n *Network) success(w *Station, pri config.Priority, now float64) {
 	n.stats.PayloadMicros += float64(k) * spec.FrameMicros
 	n.stats.ErroredPBs += int64(errored)
 	n.stats.DeliveredPBs += int64(delivered)
-	n.classStats(pri).Successes++
+	n.perClass[pri].Successes++
 	n.clock = now + d
 	if observed {
 		n.emit(Event{
@@ -662,7 +656,7 @@ func (n *Network) collision(txs []*Station, pri config.Priority, now float64) {
 
 	n.stats.Collisions++
 	n.stats.CollidedMPDUs += collidedMPDUs
-	n.classStats(pri).Collisions++
+	n.perClass[pri].Collisions++
 	n.clock = now + d
 	if observed {
 		n.emit(Event{
@@ -692,7 +686,7 @@ func (n *Network) capture(burst *hpav.Burst, now float64) {
 func (n *Network) beacon(now float64) {
 	d := n.overheads.Preamble + n.overheads.CIFS
 	for _, s := range n.stations {
-		for pri := range s.active {
+		for pri := config.CA0; pri <= config.CA3; pri++ {
 			if s.active[pri] {
 				s.afterBusy(pri, false, true)
 			}

@@ -52,6 +52,8 @@ type Flow struct {
 
 // Station is one PLC station of the emulated network: per-priority
 // backoff engines, traffic flows, and the firmware counter block.
+// Per-class state lives in arrays indexed by config.Priority, so the
+// medium loop never hashes.
 type Station struct {
 	// Name labels the station in traces ("sta1", "D", …).
 	Name string
@@ -61,13 +63,17 @@ type Station struct {
 	TEI hpav.TEI
 
 	flows     []*Flow
-	params    map[config.Priority]config.Params
-	engines   map[config.Priority]*backoff.Station
-	active    map[config.Priority]bool
-	intents   map[config.Priority]backoff.Action
+	params    [config.CA3 + 1]config.Params
+	engines   [config.CA3 + 1]*backoff.Station
+	active    [config.CA3 + 1]bool
+	intents   [config.CA3 + 1]backoff.Action
+	headSince [config.CA3 + 1]float64
 	counters  *Counters
 	src       *rng.Source
-	headSince map[config.Priority]float64
+
+	// pending is the bitmask (bit pri) of classes with traffic at the
+	// current medium event, built once per step by pendingMask.
+	pending uint8
 
 	burstSeq uint32
 
@@ -90,22 +96,11 @@ func NewStation(name string, tei hpav.TEI, addr hpav.MAC, src *rng.Source) *Stat
 	if src == nil {
 		panic("mac: NewStation: nil rng source")
 	}
-	params := make(map[config.Priority]config.Params, 4)
-	for _, p := range []config.Priority{config.CA0, config.CA1, config.CA2, config.CA3} {
-		params[p] = config.Default1901(p)
+	s := &Station{Name: name, Addr: addr, TEI: tei, counters: NewCounters(), src: src}
+	for pri := range s.params {
+		s.params[pri] = config.Default1901(config.Priority(pri))
 	}
-	return &Station{
-		Name:      name,
-		Addr:      addr,
-		TEI:       tei,
-		params:    params,
-		engines:   make(map[config.Priority]*backoff.Station),
-		active:    make(map[config.Priority]bool),
-		intents:   make(map[config.Priority]backoff.Action),
-		headSince: make(map[config.Priority]float64),
-		counters:  NewCounters(),
-		src:       src,
-	}
+	return s
 }
 
 // SetParams overrides the CSMA/CA parameters of one priority class —
@@ -115,6 +110,9 @@ func NewStation(name string, tei hpav.TEI, addr hpav.MAC, src *rng.Source) *Stat
 func (s *Station) SetParams(pri config.Priority, p config.Params) {
 	if err := p.Validate(); err != nil {
 		panic(fmt.Sprintf("mac: SetParams: %v", err))
+	}
+	if !pri.Valid() {
+		panic(fmt.Sprintf("mac: SetParams: invalid priority %d", pri))
 	}
 	if s.engines[pri] != nil {
 		panic("mac: SetParams after the engine started")
@@ -165,16 +163,21 @@ func (s *Station) pendingAt(pri config.Priority, now float64) bool {
 	return false
 }
 
-// highestPending returns the top contending class at now, if any.
-func (s *Station) highestPending(now float64) (config.Priority, bool) {
-	for pri := config.CA3; ; pri-- {
-		if s.pendingAt(pri, now) {
-			return pri, true
-		}
-		if pri == config.CA0 {
-			return 0, false
+// pendingMask returns the bitmask (bit pri) of classes with traffic at
+// now, calling Pending at most once per flow: a flow whose class is
+// already known pending is skipped. Skipping is safe because a source
+// draws only from its own stream and Pending is repeatable for a
+// non-decreasing now (the traffic.Source contract).
+//
+//plclint:noalloc
+func (s *Station) pendingMask(now float64) uint8 {
+	var m uint8
+	for _, f := range s.flows {
+		if bit := uint8(1) << f.Spec.Priority; m&bit == 0 && f.Source.Pending(now) {
+			m |= bit
 		}
 	}
+	return m
 }
 
 // nextArrival returns the earliest next arrival across flows.
@@ -284,13 +287,4 @@ func (s *Station) peekSpec(pri config.Priority, now float64) BurstSpec {
 		}
 	}
 	panic("mac: peekSpec called with no pending flow")
-}
-
-// engineSnapshot exposes the backoff counters of one class for traces.
-func (s *Station) engineSnapshot(pri config.Priority) (backoff.Snapshot, bool) {
-	eng := s.engines[pri]
-	if eng == nil {
-		return backoff.Snapshot{}, false
-	}
-	return eng.Snapshot(), true
 }

@@ -256,6 +256,56 @@ func TestPanicIsolatedToJob(t *testing.T) {
 	}
 }
 
+// TestOutcomeCountedBeforeWaitReturns pins the ordering the serving
+// tests rely on: a job's outcome counters move before its terminal
+// state wakes Wait, so a caller reading them right after Wait — with no
+// polling — always sees its own job counted. Jobs are waited on in
+// submission order, done ones first and then panicking ones, across two
+// workers so completions race the reads.
+func TestOutcomeCountedBeforeWaitReturns(t *testing.T) {
+	const perPhase = 16
+	var boom atomic.Bool
+	s := mustNew(t, Config{Workers: 2, RepWorkers: 1, faults: &Faults{
+		RepHook: func() {
+			if boom.Load() {
+				panic("injected replication panic")
+			}
+		},
+	}})
+	defer s.Close()
+
+	for phase, want := range []State{StateDone, StateFailed} {
+		boom.Store(want == StateFailed)
+		jobs := make([]*Job, perPhase)
+		for i := range jobs {
+			spec := tinySpec(fmt.Sprintf("counted-%d-%d", phase, i))
+			spec.Seed = uint64(1 + i)
+			j, cached, coalesced, err := s.Submit(spec, 1)
+			if err != nil || cached || coalesced {
+				t.Fatalf("submit %d/%d: cached=%v coalesced=%v err=%v", phase, i, cached, coalesced, err)
+			}
+			jobs[i] = j
+		}
+		for i, j := range jobs {
+			waitDone(t, j)
+			if st := j.Status().State; st != want {
+				t.Fatalf("job %d/%d ended %s, want %s", phase, i, st, want)
+			}
+			c, _ := s.Stats()
+			counted := c.Completed
+			if want == StateFailed {
+				counted = min(c.Failed, c.Panics)
+				if c.Completed != perPhase {
+					t.Fatalf("completed = %d after the done phase, want %d", c.Completed, perPhase)
+				}
+			}
+			if counted < int64(i+1) {
+				t.Fatalf("after waiting on %d %s jobs the counters read %+v", i+1, want, c)
+			}
+		}
+	}
+}
+
 // TestJobTimeout pins the per-job deadline: a job overrunning
 // Config.JobTimeout lands in timed_out (not cancelled, not failed), the
 // counter records it, and /result answers 504.

@@ -4,7 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/mac"
+	"repro/internal/rng"
+	"repro/internal/traffic"
 )
 
 // buildPairedTestbeds returns two identically seeded testbeds, the
@@ -81,16 +84,81 @@ func TestMACFastForwardAcrossSeeds(t *testing.T) {
 	}
 }
 
+// classShapes are the mixed-class networks the durable-serving
+// benchmark's mac jobs run: the testbed's stations plus one extra
+// station whose traffic or class differs from theirs — a saturated
+// station among Poisson ones, or a sparse CA3 management station under
+// beacons.
+var classShapes = []struct {
+	name  string
+	opts  Options
+	extra mac.BurstSpec
+	mean  float64 // the extra station's Poisson mean; 0 = saturated
+}{
+	{"poisson-mixed", Options{N: 2, TrafficMeanMicros: 30_000},
+		mac.BurstSpec{Priority: config.CA1, MPDUs: 2, PBsPerMPDU: 4, FrameMicros: CalibratedFrameMicros}, 0},
+	{"beacons-ca3", Options{N: 3, BeaconPeriodMicros: 33_330},
+		mac.BurstSpec{Priority: config.CA3, MPDUs: 1, PBsPerMPDU: 1, FrameMicros: 150}, 100_000},
+}
+
+// buildClassShape assembles classShapes[i] under seed. The extra
+// station draws from root streams the testbed leaves unused.
+func buildClassShape(t testing.TB, i int, seed uint64) *Testbed {
+	t.Helper()
+	shape := classShapes[i]
+	opts := shape.opts
+	opts.Seed = seed
+	tb, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := rng.New(seed)
+	var src traffic.Source = traffic.Saturated{}
+	if shape.mean > 0 {
+		src = traffic.NewPoisson(shape.mean, root.Split(3000))
+	}
+	spec := shape.extra
+	spec.Dst, spec.DstAddr = DstTEI, DstAddr
+	st := mac.NewStation("extra", StationTEI(opts.N), StationAddr(opts.N), root.Split(uint64(opts.N+1)))
+	st.AddFlow(&mac.Flow{Source: src, Spec: spec})
+	tb.Network.Attach(st)
+	return tb
+}
+
 // TestMediumLoopAllocationFree pins the zero-allocation property of the
 // unobserved medium loop: once the scratch buffers and counter buckets
-// are warm, advancing the network must not allocate at all.
+// are warm, advancing the network must not allocate at all — on the
+// paper's saturated strip and on both mixed-class shapes.
 func TestMediumLoopAllocationFree(t *testing.T) {
 	tb, err := New(Options{N: 7, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb.Run(1e6) // warm scratch buffers and counter buckets
-	if allocs := testing.AllocsPerRun(5, func() { tb.Run(5e5) }); allocs > 0 {
-		t.Errorf("steady-state Run allocated %.0f objects per call, want 0", allocs)
+	testbeds := map[string]*Testbed{"saturated-N7": tb}
+	for i, shape := range classShapes {
+		testbeds[shape.name] = buildClassShape(t, i, 1)
+	}
+	for name, tb := range testbeds {
+		tb.Run(1e6) // warm scratch buffers and counter buckets
+		if allocs := testing.AllocsPerRun(5, func() { tb.Run(5e5) }); allocs > 0 {
+			t.Errorf("%s: steady-state Run allocated %.0f objects per call, want 0", name, allocs)
+		}
+	}
+}
+
+// BenchmarkMACNetworkClasses measures the medium loop on the
+// mixed-class shapes, built once per sub-benchmark like
+// BenchmarkMACNetworkSteadyState, so allocs/op is the loop's own.
+func BenchmarkMACNetworkClasses(b *testing.B) {
+	for i, shape := range classShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			tb := buildClassShape(b, i, 1)
+			tb.Run(1e6)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for j := 0; j < b.N; j++ {
+				tb.Run(1e6)
+			}
+		})
 	}
 }

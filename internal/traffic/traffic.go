@@ -17,6 +17,13 @@ import (
 
 // Source models a per-station, per-priority packet arrival process in
 // simulated time (µs).
+//
+// A source draws only from its own random stream, and Pending may be
+// called any number of times for a non-decreasing now without changing
+// what Take and NextArrival later see. The MAC's medium loop relies on
+// both: it evaluates every flow once per medium event, whichever class
+// wins, and consumes the same draws as a loop that asks only the flows
+// it needs.
 type Source interface {
 	// Pending reports whether at least one frame is queued at time now.
 	Pending(now float64) bool

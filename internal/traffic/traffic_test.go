@@ -135,3 +135,34 @@ func TestPoissonDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestPoissonExtraPendingCallsNeutral pins the Source contract the
+// MAC's one-pass pending scan relies on: extra Pending calls at a
+// non-decreasing now — repeated, or at instants between the ones the
+// consumer acts on — leave the Take/NextArrival sequence unchanged.
+func TestPoissonExtraPendingCallsNeutral(t *testing.T) {
+	plain := NewPoisson(400, rng.New(9))
+	probed := NewPoisson(400, rng.New(9))
+	steps := rng.New(10)
+	prev, now := 0.0, 0.0
+	for i := 0; i < 5000; i++ {
+		if i%5 != 0 { // every fifth step repeats the previous instant
+			prev, now = now, now+steps.Exponential(150)
+		}
+		for k := 0; k < i%4; k++ {
+			probed.Pending(prev + (now-prev)*float64(k)/3)
+		}
+		probed.Pending(now)
+		a, b := plain.NextArrival(now), probed.NextArrival(now)
+		if math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("step %d at %v: NextArrival %v with extra Pending calls, %v without", i, now, b, a)
+		}
+		if a == now {
+			plain.Take(now)
+			probed.Take(now)
+		}
+	}
+	if a, b := plain.Backlog(now), probed.Backlog(now); a != b {
+		t.Errorf("final backlog %d with extra Pending calls, %d without", b, a)
+	}
+}
