@@ -15,6 +15,7 @@ import (
 	"log"
 
 	"repro/internal/backoff"
+	"repro/internal/config"
 	"repro/internal/experiments"
 	"repro/internal/fairness"
 	"repro/internal/sim"
@@ -37,9 +38,12 @@ func main() {
 	const n, simTime = 2, 5e7
 	universe := []int{0, 1}
 
-	collect1901 := func() []int {
+	// 802.11 is the same engine on the DCF windows with deferral
+	// counters that never expire.
+	collect := func(params config.Params) []int {
 		in := sim.DefaultInputs(n)
 		in.SimTime = simTime
+		in.Params = params
 		e, err := sim.NewEngine(in)
 		if err != nil {
 			log.Fatal(err)
@@ -49,18 +53,8 @@ func main() {
 		e.Run()
 		return rec.trace
 	}
-	collectDCF := func() []int {
-		in := sim.DefaultDCFInputs(n)
-		in.SimTime = simTime
-		rec := &winners{}
-		in.Observer = rec
-		if _, err := sim.RunDCF(in); err != nil {
-			log.Fatal(err)
-		}
-		return rec.trace
-	}
 
-	t1901, tdcf := collect1901(), collectDCF()
+	t1901, tdcf := collect(config.DefaultCA1()), collect(config.Default80211().Params())
 	fmt.Printf("\nshort-term fairness, %d stations, %d/%d transmissions traced:\n",
 		n, len(t1901), len(tdcf))
 	fmt.Printf("%-12s %10s %10s\n", "window (tx)", "1901", "802.11")
@@ -88,7 +82,7 @@ func main() {
 	fmt.Println("win-runs are much more common than under 802.11 — the Figure 1 effect.")
 }
 
-// winners records success winners from either simulator.
+// winners records success winners from a simulation.
 type winners struct{ trace []int }
 
 // OnSlot implements sim.Observer.

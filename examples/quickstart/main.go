@@ -11,39 +11,69 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/config"
+	"repro/internal/model"
+	"repro/internal/sim"
+	"repro/internal/stats"
+	"repro/internal/testbed"
 )
+
+// Short horizons keep the example interactive (~1 s); the paper's full
+// setup runs 5·10⁸ µs simulations and 10 × 240 s tests.
+const (
+	simTime      = 2e7 // µs per simulation
+	testDuration = 1e7 // µs per emulated measurement
+	tests        = 3   // measurements per station count
+	seed         = 1
+)
+
+// simulate runs the finite-state-machine simulator for n CA1 stations.
+func simulate(n int) sim.Result {
+	in := sim.DefaultInputs(n)
+	in.SimTime = simTime
+	in.Seed = seed
+	e, err := sim.NewEngine(in)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return e.Run()
+}
+
+// measure summarizes ΣC/ΣA over repeated emulated testbed runs.
+func measure(n int) stats.Summary {
+	params := config.DefaultCA1()
+	measured := make([]float64, 0, tests)
+	for k := 0; k < tests; k++ {
+		tb, err := testbed.New(testbed.Options{N: n, Seed: seed + uint64(1000*n+k), Params: &params})
+		if err != nil {
+			log.Fatal(err)
+		}
+		measured = append(measured, tb.CollisionProbability(testDuration))
+	}
+	return stats.Summarize(measured)
+}
 
 func main() {
 	fmt.Println("IEEE 1901 collision probability, three ways (CA1 defaults)")
 	fmt.Println()
 	fmt.Printf("%3s  %12s  %10s  %22s\n", "N", "simulation", "analysis", "measurement (±95% CI)")
 
-	// Short horizons keep the example interactive (~1 s); the paper's
-	// full setup (5·10⁸ µs simulations, 10 × 240 s tests) is just the
-	// zero-value Scenario.
-	base := core.Scenario{
-		SimTimeMicros:      2e7,
-		TestDurationMicros: 1e7,
-		Tests:              3,
-		Seed:               1,
-	}
-	evs, err := core.Sweep(base, []int{1, 2, 3, 4, 5, 6, 7})
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, ev := range evs {
-		simP, modelP, measP := ev.CollisionProbabilities()
+	for n := 1; n <= 7; n++ {
+		pred, err := model.Solve(n, config.DefaultCA1(), model.Options{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		meas := measure(n)
 		fmt.Printf("%3d  %12.4f  %10.4f  %14.4f ± %.4f\n",
-			ev.Scenario.N, simP, modelP, measP, ev.Measured.CI95)
+			n, simulate(n).CollisionProbability, pred.Gamma, meas.Mean, meas.CI95)
 	}
 
 	fmt.Println()
 	fmt.Println("Normalized throughput (simulator vs model), N = 3:")
-	ev, err := core.Evaluate(core.Scenario{N: 3, SimTimeMicros: 2e7, Tests: 0, Seed: 1})
+	_, met, err := model.Predict(3, config.DefaultCA1())
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  simulator: %.4f\n", ev.Simulation.NormalizedThroughput)
-	fmt.Printf("  model:     %.4f\n", ev.AnalysisMetrics.NormalizedThroughput)
+	fmt.Printf("  simulator: %.4f\n", simulate(3).NormalizedThroughput)
+	fmt.Printf("  model:     %.4f\n", met.NormalizedThroughput)
 }

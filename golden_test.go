@@ -84,6 +84,10 @@ func TestGoldenCLIOutput(t *testing.T) {
 		{"sim1901-campaign-compare.txt", []string{sim1901, "-campaign", camp, "-compare"}},
 		{"sim1901-campaign-compare.txt", []string{sim1901, "-campaign", camp, "-compare", "-parallel"}},
 		{"plcbench-campaign-compare.md", []string{plcbench, "-campaign", loadCamp, "-compare", "-format", "md"}},
+		// The 802.11 comparison experiments: E1 throughput vs N (both
+		// simulators, both models) and E4 short-term fairness (observer
+		// winner traces).
+		{"plcbench-throughput-fairness.md", []string{plcbench, "-exp", "throughput,fairness", "-quick", "-format", "md"}},
 	}
 	for _, tc := range cases {
 		name := fmt.Sprintf("%s_%s", filepath.Base(tc.cmd[0]), filepath.Base(tc.golden))

@@ -60,7 +60,7 @@ func TestFixtureGate(t *testing.T) {
 
 // TestRealTreeGate is the acceptance criterion on the real tree: every
 // //plclint:noalloc-annotated hot function — the steady-state MAC loop
-// and idle fast-forward, both AfterIdleN machines, and the Welford /
+// and idle fast-forward, the backoff machine's AfterIdleN, and the Welford /
 // paired accumulators' Add and Merge — passes the escape gate as
 // shipped.
 func TestRealTreeGate(t *testing.T) {
@@ -78,7 +78,6 @@ func TestRealTreeGate(t *testing.T) {
 		"(*Network).step":            true,
 		"(*Network).idleRun":         true,
 		"(*Station).AfterIdleN":      true,
-		"(*DCFStation).AfterIdleN":   true,
 		"(*Accumulator).Add":         true,
 		"(*Accumulator).Merge":       true,
 		"(*PairedAccumulator).Add":   true,

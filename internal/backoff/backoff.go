@@ -1,7 +1,9 @@
-// Package backoff implements the per-station CSMA/CA backoff processes
+// Package backoff implements the per-station CSMA/CA backoff process
 // studied by the paper: the IEEE 1901 process with its three counters
 // (backoff counter BC, deferral counter DC, backoff procedure counter
-// BPC), and the 802.11 DCF process used as baseline.
+// BPC). The 802.11 DCF baseline is the same machine on
+// config.DCF.Params(): per-stage deferral counters of CWmax can never
+// reach zero before BC does, so the deferral branch is never taken.
 //
 // The types here are pure state machines: they know nothing about time,
 // the medium, frames or priorities. The slot-synchronous simulator

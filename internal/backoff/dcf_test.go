@@ -8,26 +8,19 @@ import (
 	"repro/internal/rng"
 )
 
-func newTestDCF(seed uint64) *DCFStation {
-	return NewDCFStation(config.Default80211(), rng.New(seed))
-}
-
-func TestDCFRejectsInvalid(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewDCFStation accepted invalid config")
-		}
-	}()
-	NewDCFStation(config.DCF{CWmin: 0, CWmax: 8}, rng.New(1))
+// newTestDCF returns the 802.11 baseline station: the 1901 machine on
+// the flattened DCF schedule, whose deferral counters never expire.
+func newTestDCF(seed uint64) *Station {
+	return NewStation(config.Default80211().Params(), rng.New(seed))
 }
 
 func TestDCFRejectsNilRNG(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("NewDCFStation accepted nil rng")
+			t.Error("NewStation accepted nil rng")
 		}
 	}()
-	NewDCFStation(config.Default80211(), nil)
+	NewStation(config.Default80211().Params(), nil)
 }
 
 func TestDCFStartStageZero(t *testing.T) {
@@ -57,7 +50,7 @@ func TestDCFCollisionDoublesWindow(t *testing.T) {
 	s.Start()
 	wants := []int{32, 64, 128, 256, 512, 1024, 1024, 1024}
 	for i, want := range wants {
-		driveDCFToTransmit(s)
+		driveToTransmit(s)
 		s.AfterBusy(true, false)
 		if s.CW() != want {
 			t.Fatalf("after collision %d: CW=%d, want %d", i+1, s.CW(), want)
@@ -69,36 +62,55 @@ func TestDCFSuccessResetsWindow(t *testing.T) {
 	s := newTestDCF(1)
 	s.Start()
 	for i := 0; i < 3; i++ {
-		driveDCFToTransmit(s)
+		driveToTransmit(s)
 		s.AfterBusy(true, false)
 	}
-	driveDCFToTransmit(s)
+	driveToTransmit(s)
 	s.AfterBusy(true, true)
 	if s.Stage() != 0 || s.CW() != 16 {
 		t.Errorf("after success: stage=%d CW=%d, want 0/16", s.Stage(), s.CW())
 	}
 }
 
+// TestDCFNoDeferralMechanism is the property that lets 802.11 run on the
+// 1901 machine: for any DCF schedule and any event sequence, a station
+// on DCF.Params() never takes the deferral branch, and after k
+// consecutive collisions its window is DCF.Window(k).
 func TestDCFNoDeferralMechanism(t *testing.T) {
-	// Unlike 1901, overhearing busy periods must never change the DCF
-	// stage, no matter how many occur.
-	for seed := uint64(1); seed < 100; seed++ {
-		s := newTestDCF(seed)
-		if s.Start() == Transmit {
-			continue
-		}
-		start := s.BC()
-		for i := 0; i < start-1; i++ {
-			s.AfterBusy(false, i%2 == 0)
-			if s.Stage() != 0 {
-				t.Fatalf("overheard busy changed DCF stage to %d", s.Stage())
+	f := func(seed uint64, cwmin uint8, span uint16, events []byte) bool {
+		cfg := config.DCF{CWmin: 1 + int(cwmin%64)}
+		cfg.CWmax = cfg.CWmin + int(span%1024)
+		s := NewStation(cfg.Params(), rng.New(seed))
+		a := s.Start()
+		collisions := 0
+		for _, e := range events {
+			switch {
+			case a == Transmit && e%2 == 0:
+				a = s.AfterBusy(true, true)
+				collisions = 0
+			case a == Transmit:
+				a = s.AfterBusy(true, false)
+				collisions++
+			case e%3 == 0:
+				a = s.AfterBusy(false, e%2 == 0)
+			default:
+				a = s.AfterIdle()
+			}
+			if s.Deferrals() != 0 || s.CW() != cfg.Window(collisions) || s.BC() >= s.CW() {
+				t.Logf("%+v after %d collisions: deferrals=%d CW=%d BC=%d, want CW %d",
+					cfg, collisions, s.Deferrals(), s.CW(), s.BC(), cfg.Window(collisions))
+				return false
 			}
 		}
-		return
+		return true
 	}
-	t.Fatal("no suitable seed")
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
 }
 
+// TestDCFSlottedBusyConvention: an overheard busy period costs the
+// 802.11 station exactly one backoff slot, like an idle slot.
 func TestDCFSlottedBusyConvention(t *testing.T) {
 	for seed := uint64(1); seed < 100; seed++ {
 		s := newTestDCF(seed)
@@ -109,13 +121,6 @@ func TestDCFSlottedBusyConvention(t *testing.T) {
 		s.AfterBusy(false, true)
 		if s.BC() != bc-1 {
 			t.Fatalf("slotted convention: BC %d → %d, want %d", bc, s.BC(), bc-1)
-		}
-		// Hardware convention: freeze.
-		s.DecrementOnBusy = false
-		bc = s.BC()
-		s.AfterBusy(false, true)
-		if s.BC() != bc {
-			t.Fatalf("freeze convention: BC %d → %d, want unchanged", bc, s.BC())
 		}
 		return
 	}
@@ -135,7 +140,7 @@ func TestDCFAfterIdlePanics(t *testing.T) {
 func TestDCFReset(t *testing.T) {
 	s := newTestDCF(1)
 	s.Start()
-	driveDCFToTransmit(s)
+	driveToTransmit(s)
 	s.AfterBusy(true, false)
 	s.Reset()
 	if s.Stage() != 0 || s.Redraws() != 0 {
@@ -147,18 +152,11 @@ func TestDCFReset(t *testing.T) {
 	}
 }
 
-func driveDCFToTransmit(s *DCFStation) {
-	for s.BC() > 0 {
-		s.AfterIdle()
-	}
-}
-
 // Property: DCF counters stay within bounds over arbitrary event
-// sequences under both busy conventions.
+// sequences.
 func TestDCFCounterBoundsProperty(t *testing.T) {
-	f := func(seed uint64, events []bool, slotted bool) bool {
-		s := NewDCFStation(config.Default80211(), rng.New(seed))
-		s.DecrementOnBusy = slotted
+	f := func(seed uint64, events []bool) bool {
+		s := newTestDCF(seed)
 		a := s.Start()
 		for _, busy := range events {
 			if a == Transmit {

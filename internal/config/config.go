@@ -260,9 +260,11 @@ func (d DCF) Stages() int {
 }
 
 // Params flattens the DCF doubling schedule into a 1901-style Params
-// value with "infinite" deferral counters, so that the 1901 simulator
-// can run 802.11 semantics unchanged: a deferral counter that can never
-// reach zero before the backoff counter reproduces pure DCF freezing.
+// value with "infinite" deferral counters. This is how the simulators
+// and the model run 802.11: on the 1901 machine, a deferral counter
+// that can never reach zero before the backoff counter leaves plain DCF
+// backoff, with each busy period costing one counter decrement (the
+// slotted convention of the 1901-vs-802.11 comparisons).
 // The sentinel is per-stage dc = CWmax (the DC can decrement at most
 // CW-1 ≤ CWmax-1 times while the station is at a stage, since every
 // busy slot also decrements BC).

@@ -23,46 +23,35 @@ func ThroughputVsN(ns []int, simTime float64, seed uint64) (*Table, error) {
 		Note:   "1901's small CWmin wins at low contention; the deferral counter keeps it competitive as N grows. Crossovers are the design tradeoff of Section 2.",
 		Header: []string{"N", "1901 sim", "1901 model", "802.11 sim", "802.11 model"},
 	}
-	type point struct{ sim1901, mod1901, simDCF, modDCF float64 }
-	points, err := sweep(ns, func(_ int, n int) (point, error) {
-		in := sim.DefaultInputs(n)
-		in.SimTime = simTime
-		in.Seed = seed
-		e, err := sim.NewEngine(in)
-		if err != nil {
-			return point{}, err
+	// 802.11 runs on the same engine and model as 1901: the DCF windows
+	// with deferral counters that never expire.
+	protocols := []config.Params{config.DefaultCA1(), config.Default80211().Params()}
+	// Per protocol, in column order: simulated then modeled throughput.
+	points, err := sweep(ns, func(_ int, n int) ([4]float64, error) {
+		var thr [4]float64
+		for k, params := range protocols {
+			in := sim.DefaultInputs(n)
+			in.SimTime = simTime
+			in.Seed = seed
+			in.Params = params
+			e, err := sim.NewEngine(in)
+			if err != nil {
+				return thr, err
+			}
+			_, met, err := model.Predict(n, params)
+			if err != nil {
+				return thr, err
+			}
+			thr[2*k], thr[2*k+1] = e.Run().NormalizedThroughput, met.NormalizedThroughput
 		}
-		r1901 := e.Run()
-
-		_, met1901, err := model.Predict(n, config.DefaultCA1())
-		if err != nil {
-			return point{}, err
-		}
-
-		din := sim.DefaultDCFInputs(n)
-		din.SimTime = simTime
-		din.Seed = seed
-		rdcf, err := sim.RunDCF(din)
-		if err != nil {
-			return point{}, err
-		}
-
-		pdcf, err := model.SolveDCF(n, config.Default80211(), model.Options{})
-		if err != nil {
-			return point{}, err
-		}
-		mdcf := model.MetricsFor(pdcf, n, model.DefaultTiming())
-		return point{
-			sim1901: r1901.NormalizedThroughput, mod1901: met1901.NormalizedThroughput,
-			simDCF: rdcf.NormalizedThroughput, modDCF: mdcf.NormalizedThroughput,
-		}, nil
+		return thr, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	for i, n := range ns {
 		p := points[i]
-		t.AddRow(fmt.Sprint(n), f(p.sim1901), f(p.mod1901), f(p.simDCF), f(p.modDCF))
+		t.AddRow(fmt.Sprint(n), f(p[0]), f(p[1]), f(p[2]), f(p[3]))
 	}
 	return t, nil
 }
@@ -159,27 +148,18 @@ func ShortTermFairness(n int, windows []int, simTime float64, seed uint64) (*Tab
 		return nil, fmt.Errorf("experiments: fairness needs ≥ 2 stations")
 	}
 	// The two protocol traces are independent simulations: fan them out.
-	traces, err := sweep([]string{"1901", "dcf"}, func(_ int, proto string) ([]int, error) {
-		rec := &winnerTrace{}
-		if proto == "1901" {
-			in := sim.DefaultInputs(n)
-			in.SimTime = simTime
-			in.Seed = seed
-			e, err := sim.NewEngine(in)
-			if err != nil {
-				return nil, err
-			}
-			e.SetObserver(rec)
-			e.Run()
-			return rec.winners, nil
-		}
-		din := sim.DefaultDCFInputs(n)
-		din.SimTime = simTime
-		din.Seed = seed
-		din.Observer = rec
-		if _, err := sim.RunDCF(din); err != nil {
+	traces, err := sweep([]config.Params{config.DefaultCA1(), config.Default80211().Params()}, func(_ int, params config.Params) ([]int, error) {
+		in := sim.DefaultInputs(n)
+		in.SimTime = simTime
+		in.Seed = seed
+		in.Params = params
+		e, err := sim.NewEngine(in)
+		if err != nil {
 			return nil, err
 		}
+		rec := &winnerTrace{}
+		e.SetObserver(rec)
+		e.Run()
 		return rec.winners, nil
 	})
 	if err != nil {
@@ -213,7 +193,7 @@ func ShortTermFairness(n int, windows []int, simTime float64, seed uint64) (*Tab
 	return t, nil
 }
 
-// winnerTrace records success winners from either simulator.
+// winnerTrace records success winners from a simulation.
 type winnerTrace struct{ winners []int }
 
 // OnSlot implements sim.Observer.

@@ -1,7 +1,8 @@
 // Package model implements the decoupling ("mean-field") analytical
 // model of the IEEE 1901 backoff process — the "Analysis" curve of the
-// paper's Figure 2 — together with the matching 802.11 DCF model used by
-// the baseline comparisons.
+// paper's Figure 2. The 802.11 DCF baseline needs no model of its own:
+// Solve on config.DCF.Params() is the Bianchi-style fixed point, since a
+// stage whose deferral counter cannot expire always ends in an attempt.
 //
 // The model follows the fixed-point construction of Vlachou, Banchs,
 // Herzen and Thiran ("On the MAC for Power-Line Communications:

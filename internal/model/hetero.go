@@ -59,7 +59,7 @@ func SolveHeterogeneous(groups []Group, opts Options) (HeteroPrediction, error) 
 		}
 		saturated[i] = LoadedGroup{Group: g, Saturated: true}
 	}
-	fp, err := solveFixedPoint(saturated, groupTau, Timing{}, opts)
+	fp, err := solveFixedPoint(saturated, Timing{}, opts)
 	if err != nil {
 		return HeteroPrediction{}, err
 	}

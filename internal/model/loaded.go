@@ -187,7 +187,7 @@ func solveClass(pri config.Priority, idx []int, groups []LoadedGroup, share floa
 		class[i].ArrivalRate /= share
 		plain[i] = groups[gi].Group
 	}
-	fp, err := solveFixedPoint(class, groupTau, tm, opts)
+	fp, err := solveFixedPoint(class, tm, opts)
 	if err != nil {
 		return ClassSolution{}, fmt.Errorf("model: class %s: %w", pri, err)
 	}
@@ -198,13 +198,6 @@ func solveClass(pri config.Priority, idx []int, groups []LoadedGroup, share floa
 	}
 	cs.Met = HeteroMetricsFor(HeteroPrediction{Tau: eff, Gamma: cs.Gamma}, plain, tm)
 	return cs, nil
-}
-
-// groupTau is the 1901 renewal-reward attempt rate of a backlogged
-// group-g station (the per-group τ function of every solver but
-// SolveDCF).
-func groupTau(g *Group, p, succ float64) (float64, []float64) {
-	return tauGivenSucc(g.Params, p, succ)
 }
 
 // fixedPoint is the converged state of solveFixedPoint, per group.
@@ -223,14 +216,14 @@ func (fp fixedPoint) prediction() Prediction {
 
 // solveFixedPoint is the one damped decoupling iteration behind every
 // solver: simultaneous damped updates of each group's attempt rate τ
-// (from tauOf, against the busy probability γ composed from every other
-// station's effective rate a·τ) and, for Poisson-loaded groups, of the
-// availability a (flow conservation against the mean slot duration
-// E[σ], with ArrivalRate per µs of the class's medium time). Saturated
-// groups hold a = 1 and silent groups a = 0. A lone saturated station
-// sees an idle medium: p = 0 exactly, answered without iterating (the
-// iteration would only approach it geometrically).
-func solveFixedPoint(groups []LoadedGroup, tauOf func(g *Group, p, succ float64) (float64, []float64), tm Timing, opts Options) (fixedPoint, error) {
+// (tauGivenSucc, against the busy probability γ composed from every
+// other station's effective rate a·τ) and, for Poisson-loaded groups,
+// of the availability a (flow conservation against the mean slot
+// duration E[σ], with ArrivalRate per µs of the class's medium time).
+// Saturated groups hold a = 1 and silent groups a = 0. A lone saturated
+// station sees an idle medium: p = 0 exactly, answered without
+// iterating (the iteration would only approach it geometrically).
+func solveFixedPoint(groups []LoadedGroup, tm Timing, opts Options) (fixedPoint, error) {
 	opts = opts.withDefaults()
 	k := len(groups)
 	fp := fixedPoint{tau: make([]float64, k), avail: make([]float64, k), gamma: make([]float64, k), pi: make([][]float64, k)}
@@ -249,7 +242,7 @@ func solveFixedPoint(groups []LoadedGroup, tauOf func(g *Group, p, succ float64)
 		}
 	}
 	if total == 1 && groups[0].Saturated {
-		fp.tau[0], fp.pi[0] = tauOf(&groups[0].Group, 0, 1-groups[0].ErrorProb)
+		fp.tau[0], fp.pi[0] = tauGivenSucc(groups[0].Params, 0, 1-groups[0].ErrorProb)
 		return fp, nil
 	}
 
@@ -284,7 +277,7 @@ func solveFixedPoint(groups []LoadedGroup, tauOf func(g *Group, p, succ float64)
 			g := &groups[i]
 			gam, tau, avail := fp.gamma[i], fp.tau[i], fp.avail[i]
 			var v float64
-			v, fp.pi[i] = tauOf(&g.Group, gam, (1-gam)*(1-g.ErrorProb))
+			v, fp.pi[i] = tauGivenSucc(g.Params, gam, (1-gam)*(1-g.ErrorProb))
 			nextTau[i] = tau + opts.Damping*(v-tau)
 			if d := math.Abs(nextTau[i] - tau); d > maxDelta {
 				maxDelta = d

@@ -215,7 +215,7 @@ func Solve(n int, params config.Params, opts Options) (Prediction, error) {
 		return Prediction{}, err
 	}
 	opts = opts.withDefaults()
-	fp, err := solveFixedPoint([]LoadedGroup{{Group: Group{N: n, Params: params}, Saturated: true}}, groupTau, Timing{}, opts)
+	fp, err := solveFixedPoint([]LoadedGroup{{Group: Group{N: n, Params: params}, Saturated: true}}, Timing{}, opts)
 	if err == nil {
 		return fp.prediction(), nil
 	}

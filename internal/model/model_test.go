@@ -318,15 +318,15 @@ func TestFixedPointSanityProperty(t *testing.T) {
 	}
 }
 
-func TestSolveDCFBaseline(t *testing.T) {
-	cfg := config.Default80211()
-	if _, err := SolveDCF(0, cfg, Options{}); err == nil {
+// TestSolve80211Baseline: Solve on the flattened DCF schedule is the
+// Bianchi-style 802.11 model — a stage never defers, so a lone station
+// attempts once per (W−1)/2 + 1 slots.
+func TestSolve80211Baseline(t *testing.T) {
+	params := config.Default80211().Params()
+	if _, err := Solve(0, params, Options{}); err == nil {
 		t.Error("N=0 accepted")
 	}
-	if _, err := SolveDCF(2, config.DCF{CWmin: 0, CWmax: 4}, Options{}); err == nil {
-		t.Error("invalid DCF accepted")
-	}
-	p1, err := SolveDCF(1, cfg, Options{})
+	p1, err := Solve(1, params, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestSolveDCFBaseline(t *testing.T) {
 	}
 	prev := -1.0
 	for _, n := range []int{2, 5, 10, 20} {
-		p, err := SolveDCF(n, cfg, Options{})
+		p, err := Solve(n, params, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,7 +358,7 @@ func TestAggressivenessCrossover(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pdcf, err := SolveDCF(n, config.Default80211(), Options{})
+		pdcf, err := Solve(n, config.Default80211().Params(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

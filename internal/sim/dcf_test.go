@@ -4,37 +4,20 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/timing"
 )
 
-func shortDCF(n int) DCFInputs {
-	in := DefaultDCFInputs(n)
-	in.SimTime = 2e7
+// shortDCF returns the 802.11 baseline: the engine on the flattened DCF
+// schedule, with the paper's timing and 20 s of simulated time.
+func shortDCF(n int) Inputs {
+	in := shortInputs(n)
+	in.Params = config.Default80211().Params()
 	return in
 }
 
-func TestDCFInputsValidate(t *testing.T) {
-	if err := DefaultDCFInputs(2).Validate(); err != nil {
-		t.Fatalf("default DCF inputs invalid: %v", err)
-	}
-	bad := []DCFInputs{
-		func() DCFInputs { i := DefaultDCFInputs(0); return i }(),
-		func() DCFInputs { i := DefaultDCFInputs(2); i.SimTime = -1; return i }(),
-		func() DCFInputs { i := DefaultDCFInputs(2); i.Tc = 0; return i }(),
-		func() DCFInputs { i := DefaultDCFInputs(2); i.DCF.CWmin = 0; return i }(),
-	}
-	for k, in := range bad {
-		if _, err := RunDCF(in); err == nil {
-			t.Errorf("bad DCF input %d accepted", k)
-		}
-	}
-}
-
 func TestDCFSingleStation(t *testing.T) {
-	r, err := RunDCF(shortDCF(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runWith(t, shortDCF(1), false, nil)
 	if r.CollidedFrames != 0 {
 		t.Errorf("N=1 DCF collided %d times", r.CollidedFrames)
 	}
@@ -44,8 +27,7 @@ func TestDCFSingleStation(t *testing.T) {
 }
 
 func TestDCFDeterminism(t *testing.T) {
-	a, _ := RunDCF(shortDCF(3))
-	b, _ := RunDCF(shortDCF(3))
+	a, b := runWith(t, shortDCF(3), false, nil), runWith(t, shortDCF(3), false, nil)
 	if a.Successes != b.Successes || a.CollidedFrames != b.CollidedFrames {
 		t.Error("DCF runs with equal seeds diverged")
 	}
@@ -53,7 +35,7 @@ func TestDCFDeterminism(t *testing.T) {
 
 func TestDCFTimeAccounting(t *testing.T) {
 	in := shortDCF(4)
-	r, _ := RunDCF(in)
+	r := runWith(t, in, false, nil)
 	want := float64(r.IdleSlots)*timing.SlotTime + float64(r.Successes)*in.Ts + float64(r.CollisionEvents)*in.Tc
 	if math.Abs(want-r.Elapsed) > 1e-6*want {
 		t.Errorf("elapsed %v ≠ accounted %v", r.Elapsed, want)
@@ -64,9 +46,7 @@ func TestDCFTimeAccounting(t *testing.T) {
 // fewer idle slots than DCF's CWmin 16 → higher throughput. This is the
 // backoff-inefficiency motivation of Section 2.
 func Test1901BeatsDCFAtFewStations(t *testing.T) {
-	e, _ := NewEngine(shortInputs(1))
-	r1901 := e.Run()
-	rdcf, _ := RunDCF(shortDCF(1))
+	r1901, rdcf := runWith(t, shortInputs(1), false, nil), runWith(t, shortDCF(1), false, nil)
 	if r1901.NormalizedThroughput <= rdcf.NormalizedThroughput {
 		t.Errorf("N=1: 1901 throughput %v not above DCF %v", r1901.NormalizedThroughput, rdcf.NormalizedThroughput)
 	}
@@ -78,9 +58,7 @@ func Test1901BeatsDCFAtFewStations(t *testing.T) {
 // CWmin is half of DCF's — the mechanism the paper's Section 2
 // describes as counterbalancing the small CWmin.
 func TestDeferralBeatsDCFUnderContention(t *testing.T) {
-	e, _ := NewEngine(shortInputs(10))
-	r1901 := e.Run()
-	rdcf, _ := RunDCF(shortDCF(10))
+	r1901, rdcf := runWith(t, shortInputs(10), false, nil), runWith(t, shortDCF(10), false, nil)
 	if r1901.CollisionProbability >= rdcf.CollisionProbability {
 		t.Errorf("N=10: 1901 collision probability %v not below DCF's %v",
 			r1901.CollisionProbability, rdcf.CollisionProbability)
@@ -90,10 +68,7 @@ func TestDeferralBeatsDCFUnderContention(t *testing.T) {
 func TestDCFCollisionIncreasesWithN(t *testing.T) {
 	prev := -1.0
 	for _, n := range []int{1, 2, 5, 10} {
-		r, err := RunDCF(shortDCF(n))
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := runWith(t, shortDCF(n), false, nil)
 		if r.CollisionProbability <= prev && n > 1 {
 			t.Errorf("N=%d: DCF collision probability %v not increasing", n, r.CollisionProbability)
 		}
@@ -101,28 +76,20 @@ func TestDCFCollisionIncreasesWithN(t *testing.T) {
 	}
 }
 
-func TestDCFBusyConventionMatters(t *testing.T) {
-	slotted := shortDCF(5)
-	frozen := shortDCF(5)
-	frozen.SlottedBusy = false
-	rs, _ := RunDCF(slotted)
-	rf, _ := RunDCF(frozen)
-	// Freezing makes stations spend more real time in backoff; the two
-	// conventions must at least produce different dynamics.
-	if rs.Successes == rf.Successes && rs.CollidedFrames == rf.CollidedFrames {
-		t.Error("busy-period convention had no effect at all")
-	}
-}
-
+// TestDCFResultParamsCarrySentinelDC: the flattened schedule's deferral
+// counters are out of reach within each stage's window, so no station
+// of a contended 802.11 run ever takes the deferral branch.
 func TestDCFResultParamsCarrySentinelDC(t *testing.T) {
-	r, _ := RunDCF(shortDCF(2))
+	r := runWith(t, shortDCF(5), false, nil)
 	p := r.Inputs.Params
-	if err := p.Validate(); err != nil {
-		t.Fatalf("flattened DCF params invalid: %v", err)
-	}
 	for i := range p.CW {
 		if p.DC[i] < p.CW[i]-1 {
 			t.Errorf("stage %d: sentinel DC %d reachable within CW %d", i, p.DC[i], p.CW[i])
+		}
+	}
+	for i, s := range r.PerStation {
+		if s.Deferrals != 0 {
+			t.Errorf("station %d: %d deferral redraws under 802.11", i, s.Deferrals)
 		}
 	}
 }

@@ -37,20 +37,42 @@ func runBoth(t *testing.T, in Inputs) (batched, slotwise Result) {
 // fast-forward: for every seed, station count, priority class and
 // heterogeneous configuration tried, the batched engine's Result —
 // including the floating-point Elapsed trajectory and every per-station
-// counter — must equal the slot-by-slot engine's bit for bit. Idle
-// slots consume no randomness, so batching them cannot change a draw.
+// counter — must equal the slot-by-slot engine's bit for bit. Idle slots
+// consume no randomness, so batching them cannot change a draw.
 func TestFastForwardBitIdentical(t *testing.T) {
+	var configs []config.Params
+	for _, pri := range []config.Priority{config.CA0, config.CA1, config.CA2, config.CA3} {
+		configs = append(configs, config.Default1901(pri))
+	}
+	assertFastForwardBitIdentical(t, configs)
+}
+
+// TestDCFFastForwardBitIdentical is the same property for the 802.11
+// baseline, run on the engine through its flattened DCF schedule: the
+// default CWmin 16 / CWmax 1024 and a short 3/10 schedule.
+func TestDCFFastForwardBitIdentical(t *testing.T) {
+	var configs []config.Params
+	for _, dcf := range []config.DCF{config.Default80211(), {Name: "dcf3-10", CWmin: 3, CWmax: 10}} {
+		configs = append(configs, dcf.Params())
+	}
+	assertFastForwardBitIdentical(t, configs)
+}
+
+// assertFastForwardBitIdentical runs every configuration for N = 1..10
+// and five seeds through both engine paths and fails on any difference.
+func assertFastForwardBitIdentical(t *testing.T, configs []config.Params) {
+	t.Helper()
 	for n := 1; n <= 10; n++ {
-		for _, pri := range []config.Priority{config.CA0, config.CA1, config.CA2, config.CA3} {
+		for _, params := range configs {
 			for seed := uint64(1); seed <= 5; seed++ {
 				in := DefaultInputs(n)
 				in.SimTime = 3e6
 				in.Seed = seed
-				in.Params = config.Default1901(pri)
+				in.Params = params
 				fast, slow := runBoth(t, in)
 				if !reflect.DeepEqual(fast, slow) {
-					t.Fatalf("N=%d %v seed=%d: batched %+v ≠ slot-by-slot %+v",
-						n, pri, seed, fast, slow)
+					t.Fatalf("N=%d %s seed=%d: batched %+v ≠ slot-by-slot %+v",
+						n, params.Name, seed, fast, slow)
 				}
 			}
 		}
@@ -131,33 +153,5 @@ func TestMediumLoopAllocationFree(t *testing.T) {
 	short, long := allocs(2e5), allocs(2e7)
 	if long > short {
 		t.Errorf("run 100× longer allocated more (%v vs %v): medium loop is not allocation-free", long, short)
-	}
-}
-
-// TestDCFFastForwardBitIdentical is the same property for the 802.11
-// baseline engine, under both busy-period conventions.
-func TestDCFFastForwardBitIdentical(t *testing.T) {
-	for n := 1; n <= 10; n++ {
-		for _, slotted := range []bool{true, false} {
-			for seed := uint64(1); seed <= 3; seed++ {
-				in := DefaultDCFInputs(n)
-				in.SimTime = 3e6
-				in.Seed = seed
-				in.SlottedBusy = slotted
-				fast, err := RunDCF(in)
-				if err != nil {
-					t.Fatal(err)
-				}
-				in.Observer = noopObserver{}
-				slow, err := RunDCF(in)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(fast, slow) {
-					t.Fatalf("DCF N=%d slotted=%v seed=%d: batched %+v ≠ slot-by-slot %+v",
-						n, slotted, seed, fast, slow)
-				}
-			}
-		}
 	}
 }

@@ -1,7 +1,9 @@
 // Package sim implements the slot-synchronous finite-state-machine
 // simulator of the IEEE 1901 CSMA/CA mechanism published with the paper
-// (Section 4.2), generalized to run either 1901 or 802.11 backoff
-// engines over the same medium loop.
+// (Section 4.2). The 802.11 DCF baseline runs through the same engine
+// on config.DCF.Params(): deferral counters of CWmax never expire, so
+// the 1901 machine reduces to DCF with the slotted busy convention (a
+// busy period costs one counter decrement).
 //
 // The published MATLAB function
 //
@@ -439,9 +441,8 @@ func (e *Engine) Run() Result {
 // call. The per-slot time accounting is replayed scalar-wise (one
 // SlotTime addition per slot) so the float accumulation — and the
 // SimTime stopping point — stays bit-identical to the slot-by-slot
-// loop. Generic over the backoff engine so the 1901 and DCF medium
-// loops share one provably common implementation.
-func fastForwardIdle[P backoff.Process](stations []P, intents []backoff.Action, t *float64, simTime float64, idleSlots *int64) {
+// loop.
+func fastForwardIdle(stations []*backoff.Station, intents []backoff.Action, t *float64, simTime float64, idleSlots *int64) {
 	m := stations[0].BC()
 	for _, s := range stations[1:] {
 		if bc := s.BC(); bc < m {
