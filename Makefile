@@ -26,17 +26,18 @@ lint:
 race:
 	go test -race ./...
 
-# bench captures the benchmark baseline: every Benchmark* with
-# -benchmem, COUNT runs each (benchstat wants repeated samples), parsed
-# into BENCH_results.json with the raw text embedded. Tune time/count
-# via `make bench BENCHTIME=1x COUNT=1` for a quick smoke.
+# bench runs every Benchmark* with -benchmem, COUNT runs each
+# (benchstat wants repeated samples), parsed into bench-results.json
+# (git-ignored) with the raw text embedded. No baseline is committed:
+# a performance claim compares paired runs of the parent and the
+# change. `make bench BENCHTIME=1x COUNT=3` is the CI smoke.
 bench:
 	go test -run=XXX -bench='$(BENCH)' -benchmem -benchtime=$(BENCHTIME) -count=$(COUNT) ./... > bench.out
-	go run ./cmd/benchjson < bench.out > BENCH_results.json
+	go run ./cmd/benchjson < bench.out > bench-results.json
 	@rm -f bench.out
-	@echo "wrote BENCH_results.json"
+	@echo "wrote bench-results.json"
 
-# fuzz-smoke gives each scenario/campaign/journal fuzzer a short budget
+# fuzz-smoke gives each scenario/campaign/journal/solver fuzzer a short budget
 # — the CI regression net; long exploratory runs raise -fuzztime
 # locally. Journal recovery fsyncs its compacted file on every exec, so
 # its per-input minimization is capped or it would eat the budget.
@@ -46,3 +47,4 @@ fuzz-smoke:
 	go test ./internal/campaign -run=XXX -fuzz=FuzzCampaignDecode -fuzztime=15s
 	go test ./internal/campaign -run=XXX -fuzz=FuzzCampaignExpand -fuzztime=15s
 	go test ./internal/serve -run=XXX -fuzz=FuzzJournalOpen -fuzztime=15s -fuzzminimizetime=100x
+	go test ./internal/model -run=XXX -fuzz=FuzzSolveLoaded -fuzztime=15s

@@ -158,23 +158,57 @@ func BenchmarkSimulatorAgreement(b *testing.B) {
 }
 
 // BenchmarkModelSolvers compares the fixed-point strategies (the solver
-// ablation): damped iteration vs forced bisection.
+// ablation) and reports map evaluations per solve (iters/op): the
+// accelerated fixed-point loop on a saturated (10×CA1), a hetero
+// (5×CA1 e=0.1 + 3×CA3) and a loaded (3 Poisson CA1 e=0.05 + 5
+// saturated CA1) input — the solve/CA1/N=10, hetero and
+// loaded/poisson+saturated cases of the model's bit pins — and forced
+// bisection on the saturated one.
 func BenchmarkModelSolvers(b *testing.B) {
-	params := config.DefaultCA1()
-	b.Run("damped", func(b *testing.B) {
+	ca1, ca3 := config.DefaultCA1(), config.Default1901(config.CA3)
+	run := func(b *testing.B, solve func() (int, error)) {
+		iters := 0
 		for i := 0; i < b.N; i++ {
-			if _, err := model.Solve(10, params, model.Options{Damping: 0.25}); err != nil {
+			n, err := solve()
+			if err != nil {
 				b.Fatal(err)
 			}
+			iters += n
 		}
+		b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
+	}
+	saturated := func(opts model.Options) func() (int, error) {
+		return func() (int, error) {
+			p, err := model.Solve(10, ca1, opts)
+			return p.Iterations, err
+		}
+	}
+	b.Run("damped", func(b *testing.B) { run(b, saturated(model.Options{Damping: 0.25})) })
+	b.Run("hetero", func(b *testing.B) {
+		groups := []model.Group{{N: 5, Params: ca1, ErrorProb: 0.1}, {N: 3, Params: ca3}}
+		run(b, func() (int, error) {
+			p, err := model.SolveHeterogeneous(groups, model.Options{})
+			return p.Iterations, err
+		})
 	})
-	b.Run("bisection", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := model.Solve(10, params, model.Options{MaxIterations: 1}); err != nil {
-				b.Fatal(err)
+	b.Run("loaded", func(b *testing.B) {
+		groups := []model.LoadedGroup{
+			{Group: model.Group{N: 3, Params: ca1, ErrorProb: 0.05}, Priority: config.CA1, ArrivalRate: 2e-5},
+			{Group: model.Group{N: 5, Params: ca1}, Priority: config.CA1, Saturated: true},
+		}
+		run(b, func() (int, error) {
+			sol, err := model.SolveLoaded(groups, model.DefaultTiming(), model.Options{})
+			if err != nil {
+				return 0, err
 			}
-		}
+			n := 0
+			for _, cs := range sol.Classes {
+				n += cs.Iterations
+			}
+			return n, nil
+		})
 	})
+	b.Run("bisection", func(b *testing.B) { run(b, saturated(model.Options{MaxIterations: 1})) })
 }
 
 // BenchmarkBackoffStep measures the pure per-slot cost of the 1901
@@ -325,7 +359,7 @@ func BenchmarkRNG(b *testing.B) {
 // horizon-independent, so its cost does not grow with sim_time_us —
 // while BenchmarkSimPointReplication runs one simulated replication of
 // the identical spec; the speedup (≥ 100×) reads directly off these
-// two entries in BENCH_results.json.
+// two benchmarks' ns/op.
 func predictSpec() scenario.Spec {
 	return scenario.Spec{
 		Name:          "predict-bench",
@@ -446,7 +480,7 @@ func BenchmarkServePredict(b *testing.B) {
 // paper's headline collision probability at a ±0.002 half-width. The
 // plain and cv arms share every seed (common random numbers), so the
 // "simreps/op" metric reads the variance-reduction speedup directly off
-// BENCH_results.json: plain needs ~5× the simulated replications the
+// the benchmark output: plain needs ~5× the simulated replications the
 // regression-adjusted estimator needs for the same interval.
 func cvCampaignSpec(withCV bool) campaign.Spec {
 	base := scenario.Spec{

@@ -1,11 +1,11 @@
 // Command benchjson converts `go test -bench` text output (stdin) into
-// BENCH_results.json (stdout): one record per benchmark run, plus the
-// verbatim raw text so benchstat — which consumes the text format —
-// can still be applied downstream:
+// JSON (stdout): one record per benchmark run, plus the verbatim raw
+// text so benchstat — which consumes the text format — can still be
+// applied downstream:
 //
 //	go test -run=XXX -bench=. -benchmem -count=3 ./... > bench.out
-//	benchjson < bench.out > BENCH_results.json
-//	# later: jq -r .raw BENCH_results.json | benchstat old.txt /dev/stdin
+//	benchjson < bench.out > bench-results.json
+//	# later: jq -r .raw bench-results.json | benchstat old.txt /dev/stdin
 //
 // With -count > 1 every run appears as its own record (same name,
 // multiple entries), which is exactly the sample structure benchstat
@@ -41,7 +41,7 @@ type Run struct {
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
-// File is the BENCH_results.json schema.
+// File is the output schema.
 type File struct {
 	Format string `json:"format"`
 	Goos   string `json:"goos,omitempty"`

@@ -62,6 +62,11 @@ func bitPinCases() map[string]func() (bitPin, error) {
 			return pinLoaded(sol), nil
 		}
 	}
+	// poisson is a Poisson-loaded group of class pri on its class's
+	// default CW/DC, one frame per interarrival µs per station.
+	poisson := func(pri config.Priority, n int, interarrival float64) LoadedGroup {
+		return LoadedGroup{Group: Group{N: n, Params: config.Default1901(pri)}, Priority: pri, ArrivalRate: 1 / interarrival}
+	}
 	return map[string]func() (bitPin, error){
 		"solve/CA1/N=1":        solve(1, ca1, Options{}),
 		"solve/CA1/N=2":        solve(2, ca1, Options{}),
@@ -93,6 +98,21 @@ func bitPinCases() map[string]func() (bitPin, error) {
 			{Group: Group{N: 3, Params: ca1}, Priority: config.CA1, Saturated: true},
 			{Group: Group{N: 2, Params: ca3}, Priority: config.CA0, ArrivalRate: 1e-4},
 		}),
+		// A predict-mix point where an early accelerated solver left
+		// the domain until its retry budget ran out.
+		"loaded/no-converge": loaded([]LoadedGroup{
+			poisson(config.CA2, 2, 97216.554),
+			poisson(config.CA1, 1, 125458.712),
+			poisson(config.CA1, 1, 111364.96),
+			poisson(config.CA1, 3, 9436.344),
+		}),
+		// Overloaded CA3 stations must hold availability exactly 1, so
+		// the CA0 class below them starves to exactly zero.
+		"loaded/overload-starves": loaded([]LoadedGroup{
+			poisson(config.CA3, 3, 51443.361),
+			poisson(config.CA0, 2, 163635.273),
+			poisson(config.CA3, 3, 11174.454),
+		}),
 	}
 }
 
@@ -102,22 +122,24 @@ func bitPinCases() map[string]func() (bitPin, error) {
 func TestSolversBitPinned(t *testing.T) {
 	want := map[string]bitPin{
 		"dcf/N=1":                  {Tau: []uint64{0x3fbe1e1e1e1e1e1e}, Gamma: []uint64{0x0}, Pi: []uint64{0x3ff0000000000000, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0}, Iterations: []int{0}},
-		"dcf/N=20":                 {Tau: []uint64{0x3fa15d9198a9a206}, Gamma: []uint64{0x3fdec69bbb8132d0}, Pi: []uint64{0x3fe09cb2223eaf6c, 0x3fcff402cd49fecf, 0x3fbebb13f2f58bb0, 0x3fad8e1dcd70d273, 0x3f9c6cab1e906ed6, 0x3f8b564b2460723a, 0x3f8952926cc340f0}, Iterations: []int{25}},
-		"dcf/N=5":                  {Tau: []uint64{0x3fb37e7e94badbef}, Gamma: []uint64{0x3fd160d9c77bf5fa}, Pi: []uint64{0x3fe74f931c41a08c, 0x3fc951a70a8de818, 0x3fab8004048c8daa, 0x3f8dde7aac05b9c0, 0x3f703897e24af58c, 0x3f519e51b987acf2, 0x3f3a44ec055f555e}, Iterations: []int{45}},
-		"dcf32-1024/N=10":          {Tau: []uint64{0x3fa319a6c4c54992}, Gamma: []uint64{0x3fd28b9d961accde}, Pi: []uint64{0x3fe6ba3134f1b888, 0x3fca57c8bf48d93d, 0x3fae889febb79133, 0x3f91b211c8cb7116, 0x3f7482bd45b8c559, 0x3f60bc93aecb00d6}, Iterations: []int{46}},
-		"dcf8-64/N=5":              {Tau: []uint64{0x3fbe8e646cf5e52f}, Gamma: []uint64{0x3fd981fccbe13650}, Pi: []uint64{0x3fe33f019a0fa0f0, 0x3fceaece93397f0a, 0x3fb8753477dd9ed6, 0x3fb0352191325b96}, Iterations: []int{43}},
-		"dcf8-64/N=20":             {Tau: []uint64{0x3faf02721df15b45}, Gamma: []uint64{0x3fe63c7fdb3c8bca}, Pi: []uint64{0x3fd387004985c3fa, 0x3fcb2376b15055ed, 0x3fc2dbb087214ac7, 0x3fd5796c1a416bad}, Iterations: []int{40}},
-		"dcf3-10/N=3":              {Tau: []uint64{0x3fd3649e96ad00f0}, Gamma: []uint64{0x3fe074706961b9ab}, Pi: []uint64{0x3fdf171f2d3ccb77, 0x3fcff9613de4656e, 0x3fd0ec3033d101d3}, Iterations: []int{57}},
-		"hetero/5xCA1e0.1+3xCA3":   {Tau: []uint64{0x3fa2d140a0807132, 0x3fb6cc03284b03c2}, Gamma: []uint64{0x3fd6599f7705e19a, 0x3fd3f57e7c8a25b0}, Iterations: []int{92}},
-		"loaded/poisson+saturated": {Tau: []uint64{0x3fa8a31f0afde624, 0x3fac1fd92c4ee2fd}, Gamma: []uint64{0x3fd1faca12bca2e8, 0x3fd0717b70604872}, Avail: []uint64{0x3fdf188f6bb7e711, 0x3ff0000000000000}, Iterations: []int{109}},
-		"loaded/starvation":        {Tau: []uint64{0x3fcc0b432d8e1db6, 0x3fb62f015260d173, 0x0}, Gamma: []uint64{0x3f66ce8266a67a00, 0x3fc538f2e48e5ecc, 0x0}, Avail: []uint64{0x3f7a0ac206873e38, 0x3ff0000000000000, 0x3ff0000000000000}, Iterations: []int{131, 36, 0}},
+		"dcf/N=20":                 {Tau: []uint64{0x3fa15d9198a910c6}, Gamma: []uint64{0x3fdec69bbb80796a}, Pi: []uint64{0x3fe09cb2223fc34b, 0x3fcff402cd49d497, 0x3fbebb13f2f33c26, 0x3fad8e1dcd6c87ae, 0x3f9c6cab1e8a5083, 0x3f8b564b2458a5bb, 0x3f8952926cb89d12}, Iterations: []int{11}},
+		"dcf/N=5":                  {Tau: []uint64{0x3fb37e7e94b96ace}, Gamma: []uint64{0x3fd160d9c77ad2ea}, Pi: []uint64{0x3fe74f931c42968b, 0x3fc951a70a8c267d, 0x3fab800404879ac7, 0x3f8dde7aabfd0c1e, 0x3f703897e24473cf, 0x3f519e51b97ea8ec, 0x3f3a44ec054de72c}, Iterations: []int{6}},
+		"dcf32-1024/N=10":          {Tau: []uint64{0x3fa319a6c4c2559b}, Gamma: []uint64{0x3fd28b9d9618597a}, Pi: []uint64{0x3fe6ba3134f3d344, 0x3fca57c8bf454f33, 0x3fae889febac8911, 0x3f91b211c8c1084c, 0x3f7482bd45a80cff, 0x3f60bc93aeb802ff}, Iterations: []int{7}},
+		"dcf8-64/N=5":              {Tau: []uint64{0x3fbe8e646cf6d01a}, Gamma: []uint64{0x3fd981fccbe1d6c0}, Pi: []uint64{0x3fe33f019a0f14a0, 0x3fceaece9339f0e8, 0x3fb8753477df06ac, 0x3fb0352191347281}, Iterations: []int{6}},
+		"dcf8-64/N=20":             {Tau: []uint64{0x3faf02721defaa32}, Gamma: []uint64{0x3fe63c7fdb3be4c4}, Pi: []uint64{0x3fd3870049883678, 0x3fcb2376b1523e4d, 0x3fc2dbb08721947c, 0x3fd5796c1a3de024}, Iterations: []int{8}},
+		"dcf3-10/N=3":              {Tau: []uint64{0x3fd3649e96ad4fa5}, Gamma: []uint64{0x3fe074706961f086}, Pi: []uint64{0x3fdf171f2d3c1ef3, 0x3fcff9613de45b9d, 0x3fd0ec3033d1b33c}, Iterations: []int{7}},
+		"hetero/5xCA1e0.1+3xCA3":   {Tau: []uint64{0x3fa2d140a07cac07, 0x3fb6cc03284e2e6c}, Gamma: []uint64{0x3fd6599f77064dea, 0x3fd3f57e7c89a8ec}, Iterations: []int{13}},
+		"loaded/poisson+saturated": {Tau: []uint64{0x3fa8a31f0afdd631, 0x3fac1fd92c4eaca7}, Gamma: []uint64{0x3fd1faca12bc960a, 0x3fd0717b70604734}, Avail: []uint64{0x3fdf188f6bb8b271, 0x3ff0000000000000}, Iterations: []int{22}},
+		"loaded/no-converge":       {Tau: []uint64{0x3fcc63313e7945ed, 0x3fc052dc936a6f75, 0x3fc05ad7298408e6, 0x3fc38380f9a8b4bc}, Gamma: []uint64{0x3f397c0cba279000, 0x3fba6fb58f468d50, 0x3fba5ba733b9c708, 0x3fb2d32f14e9e1a8}, Avail: []uint64{0x3f5cba495d892f13, 0x3f95a727444886c7, 0x3f9856a36ab07aab, 0x3fcd22eefa1ad92b}, Iterations: []int{13, 2522}},
+		"loaded/overload-starves":  {Tau: []uint64{0x3fb6ea9ef7a81751, 0x3fb9e868b502b363, 0x0}, Gamma: []uint64{0x3fd3c7c6d273d65a, 0x3fd001ca5621daf6, 0x0}, Avail: []uint64{0x3fd1852872a1ca87, 0x3ff0000000000000, 0x3ff0000000000000}, Iterations: []int{30, 0}},
+		"loaded/starvation":        {Tau: []uint64{0x3fcc0b432d906462, 0x3fb62f01525fd287, 0x0}, Gamma: []uint64{0x3f66ce826681db00, 0x3fc538f2e48d75f8, 0x0}, Avail: []uint64{0x3f7a0ac2065b48a0, 0x3ff0000000000000, 0x3ff0000000000000}, Iterations: []int{12, 7, 0}},
 		"solve/CA1/N=1":            {Tau: []uint64{0x3fcc71c71c71c71c}, Gamma: []uint64{0x0}, Pi: []uint64{0x3ff0000000000000, 0x0, 0x0, 0x0}, Iterations: []int{0}},
-		"solve/CA1/N=10":           {Tau: []uint64{0x3fa5a69404cdeb0e}, Gamma: []uint64{0x3fd49e71527536a2}, Pi: []uint64{0x3fd4bb39024ead20, 0x3fcf0b50556e2cc9, 0x3fc6f527ee1b13a8, 0x3fd0448adbecb2a7}, Iterations: []int{38}},
-		"solve/CA1/N=2":            {Tau: []uint64{0x3fbdf2e98b27187d}, Gamma: []uint64{0x3fbdf2e98b271880}, Pi: []uint64{0x3fe45554ddc158b1, 0x3fd07aae0e62a33c, 0x3fb539b5f3ee7b3e, 0x3f98c3ab91f0c916}, Iterations: []int{41}},
-		"solve/CA1/N=20":           {Tau: []uint64{0x3f9ed1f4b9cd3877}, Gamma: []uint64{0x3fdc307fe34d798a}, Pi: []uint64{0x3fcce5356c9a5ab2, 0x3fc859dca28dcb53, 0x3fc47ca0d6408041, 0x3fdb22268d4bacdc}, Iterations: []int{46}},
-		"solve/CA1/N=5":            {Tau: []uint64{0x3fb0089e53cce30d}, Gamma: []uint64{0x3fcd2db326845588}, Pi: []uint64{0x3fdbb8e8ee2ea830, 0x3fd177ab46705fe3, 0x3fc4effd859430fa, 0x3fc0aeda112dbedf}, Iterations: []int{37}},
+		"solve/CA1/N=10":           {Tau: []uint64{0x3fa5a69404cbe5c4}, Gamma: []uint64{0x3fd49e7152739abe}, Pi: []uint64{0x3fd4bb390251d51c, 0x3fcf0b505570d071, 0x3fc6f527ee1b43c4, 0x3fd0448adbe820c8}, Iterations: []int{9}},
+		"solve/CA1/N=2":            {Tau: []uint64{0x3fbdf2e98b2855b0}, Gamma: []uint64{0x3fbdf2e98b2855b0}, Pi: []uint64{0x3fe45554ddc0b353, 0x3fd07aae0e6304fb, 0x3fb539b5f3f0b5c1, 0x3f98c3ab91f66f04}, Iterations: []int{6}},
+		"solve/CA1/N=20":           {Tau: []uint64{0x3f9ed1f4b9c765c0}, Gamma: []uint64{0x3fdc307fe3497c42}, Pi: []uint64{0x3fcce5356ca3f2c0, 0x3fc859dca293f1a7, 0x3fc47ca0d643fa5a, 0x3fdb22268d42109f}, Iterations: []int{9}},
+		"solve/CA1/N=5":            {Tau: []uint64{0x3fb0089e53cc1dc8}, Gamma: []uint64{0x3fcd2db326831090}, Pi: []uint64{0x3fdbb8e8ee305f49, 0x3fd177ab46709db2, 0x3fc4effd85932f44, 0x3fc0aeda112ad6c9}, Iterations: []int{8}},
 		"solve/CA1/N=5/bisect":     {Tau: []uint64{0x3fb0089e53cc4892}, Gamma: []uint64{0x3fcd2db32683570c}, Pi: []uint64{0x3fdbb8e8ee302efd, 0x3fd177ab467096e5, 0x3fc4effd85934b9a, 0x3fc0aeda112b289f}, Iterations: []int{41}},
-		"solve/CA3/N=10":           {Tau: []uint64{0x3fb1d8a2adadb8f8}, Gamma: []uint64{0x3fde99c750ec77d6}, Pi: []uint64{0x3fd13f7efa221e87, 0x3fcdd0ca648ae06c, 0x3fc9bfb25516b440, 0x3fd2f842a90d1722}, Iterations: []int{53}},
+		"solve/CA3/N=10":           {Tau: []uint64{0x3fb1d8a2adac42f1}, Gamma: []uint64{0x3fde99c750ea9fbe}, Pi: []uint64{0x3fd13f7efa23acc6, 0x3fcdd0ca648cbc14, 0x3fc9bfb25517927d, 0x3fd2f842a90a2bf2}, Iterations: []int{7}},
 	}
 	for name, run := range bitPinCases() {
 		got, err := run()

@@ -46,8 +46,8 @@ type HeteroPrediction struct {
 //
 //	p_i = 1 − (1−τ_i)^(n_i−1) · Π_{j≠i} (1−τ_j)^(n_j)
 //
-// The joint fixed point is the shared damped loop with every group
-// saturated.
+// The joint fixed point is the shared fixed-point loop
+// (solveFixedPoint) with every group saturated.
 func SolveHeterogeneous(groups []Group, opts Options) (HeteroPrediction, error) {
 	if len(groups) == 0 {
 		return HeteroPrediction{}, fmt.Errorf("model: no groups")

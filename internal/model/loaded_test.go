@@ -250,6 +250,39 @@ func TestLoadedPriorityStarvation(t *testing.T) {
 	}
 }
 
+// TestLoadedOverloadStarvesExactly: Poisson-loaded stations beyond
+// their class's capacity hold availability exactly 1 — not within the
+// tolerance of it — so the class below sees a share of exactly 0 and
+// starves to exactly zero rates.
+func TestLoadedOverloadStarvesExactly(t *testing.T) {
+	ca0, ca3 := config.Default1901(config.CA0), config.Default1901(config.CA3)
+	sol, err := SolveLoaded([]LoadedGroup{
+		{Group: Group{N: 3, Params: ca3}, Priority: config.CA3, ArrivalRate: 1 / 51443.361},
+		{Group: Group{N: 2, Params: ca0}, Priority: config.CA0, ArrivalRate: 1 / 163635.273},
+		{Group: Group{N: 3, Params: ca3}, Priority: config.CA3, ArrivalRate: 1 / 11174.454},
+	}, loadedTiming(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := classOf(t, sol, config.CA3)
+	if top.Availability[1] != 1 {
+		t.Fatalf("overloaded CA3 group availability = %v, want exactly 1", top.Availability[1])
+	}
+	cs := classOf(t, sol, config.CA0)
+	if !cs.Starved || cs.Share != 0 {
+		t.Fatalf("CA0 below an overloaded class must starve: %+v", cs)
+	}
+	for i := range cs.Tau {
+		if cs.Tau[i] != 0 || cs.Gamma[i] != 0 || cs.Met.GroupThroughput[i] != 0 || cs.Met.PerStationThroughput[i] != 0 {
+			t.Fatalf("starved CA0 group %d has nonzero rates: %+v", i, cs)
+		}
+	}
+	if m := cs.Met; m.TotalThroughput != 0 || m.AttemptRate != 0 || m.SuccessRate != 0 ||
+		m.CollidedRate != 0 || m.CollisionProbability != 0 {
+		t.Fatalf("starved CA0 metrics = %+v, want exactly 0", m)
+	}
+}
+
 // TestLoadedPrioritySharing: a lightly loaded high class takes only its
 // occupancy; the saturated class below gets the complementary share,
 // shrinking monotonically as the high-class load grows, while the high

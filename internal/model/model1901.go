@@ -40,45 +40,38 @@ type StageQuantities struct {
 // partial jump-cost sum S(b) = Σ_{k=d+1}^{b} k·P(first (d+1)-th busy at
 // k) via the negative-binomial ratio recurrence — instead of evaluating
 // each tail from scratch (stageDirect in the tests does exactly that
-// and pins this implementation down).
+// and pins this implementation down). A backoff of b ≤ d slots sees at
+// most d busy ones and never jumps, so T = 1 and S = 0 there and the
+// loop starts at b = d+1 from the exact integer sums; a stage that can
+// never jump (d ≥ w−1, every 802.11 stage, or an idle medium p = 0)
+// needs no loop.
+//
+//plclint:noalloc
 func Stage(w, d int, p float64) StageQuantities {
-	q := 1 - p
-	tail := 1.0 // T(b): P(Bin(b,p) ≤ d); T(0) = 1
-	var pmf float64
-	if d == 0 {
-		pmf = 1 // f(0) = P(Bin(0,p) = 0)
+	inv := 1 / float64(w)
+	if d >= w-1 || p == 0 {
+		return StageQuantities{Attempt: float64(w) * inv, Slots: float64(w*(w+1)/2) * inv}
 	}
-	var nb, jumpSum float64 // nb(b), S(b)
+	q := 1 - p
+	tail := 1.0                     // T(d)
+	pmf := math.Pow(p, float64(d))  // f(d)
+	nb := math.Pow(p, float64(d+1)) // nb(d+1): the (d+1)-th busy at slot d+1
+	var jumpSum float64             // S(b)
 
-	var attempt, slots float64
-	for b := 0; b < w; b++ {
-		if b > 0 {
-			tail -= p * pmf // T(b) from T(b−1), f(b−1)
-			switch {
-			case b < d:
-				pmf = 0
-			case b == d:
-				pmf = math.Pow(p, float64(d))
-			default: // b > d
-				pmf *= q * float64(b) / float64(b-d)
-			}
-			switch {
-			case b == d+1:
-				nb = math.Pow(p, float64(d+1))
-			case b > d+1:
-				nb *= q * float64(b-1) / float64(b-1-d)
-			}
-			if b >= d+1 {
-				jumpSum += nb * float64(b)
-			}
+	attempt, slots := float64(d+1), float64((d+1)*(d+2)/2)
+	for b := d + 1; b < w; b++ {
+		tail -= p * pmf // T(b) from T(b−1), f(b−1)
+		pmf *= q * float64(b) / float64(b-d)
+		if b > d+1 {
+			nb *= q * float64(b-1) / float64(b-1-d)
 		}
+		jumpSum += nb * float64(b)
 		attempt += tail
 		// Attempt path: b backoff slots + 1 transmission slot; jump
 		// path: the (d+1)-th busy observation, which arrived at slot
 		// k ≤ b, closes the stage after k slots.
 		slots += tail*float64(b+1) + jumpSum
 	}
-	inv := 1 / float64(w)
 	return StageQuantities{Attempt: attempt * inv, Slots: slots * inv}
 }
 
@@ -102,13 +95,19 @@ type Prediction struct {
 
 // Options tune the fixed-point solver. The zero value asks for defaults.
 type Options struct {
-	// Damping in (0,1]: fraction of the new iterate mixed in per step.
+	// Damping in (0,1]: fraction of the new iterate mixed in per damped
+	// step, and the mixing parameter of the accelerated steps.
 	// Default 0.25 — the map is a contraction for all Table 1 configs,
 	// but heavy damping keeps exotic boosting candidates convergent.
 	Damping float64
-	// Tolerance on |τ' − τ|. Default 1e-12.
+	// Tolerance on the residual max|G(x) − x| over every group's τ and
+	// availability: the solver returns the first iterate x whose map
+	// value G(x) moves no coordinate by Tolerance or more. Default 1e-12.
 	Tolerance float64
-	// MaxIterations before falling back to bisection. Default 10000.
+	// MaxIterations bounds the plain damped iteration, in map
+	// evaluations, before Solve falls back to bisection (the other
+	// solvers return ErrNoConvergence). The accelerated attempt before
+	// it uses at most min(100, MaxIterations). Default 10000.
 	MaxIterations int
 }
 
@@ -156,14 +155,36 @@ func tauGivenP(params config.Params, p float64) (tau float64, pi []float64) {
 //
 // and τ = Σπ_i·x_i / Σπ_i·E[T_i].
 func tauGivenSucc(params config.Params, p, succ float64) (tau float64, pi []float64) {
+	pi = make([]float64, params.Stages())
+	return newWorkspace(params.Stages()).tau(params, p, succ, pi), pi
+}
+
+// workspace holds the per-stage scratch of τ evaluations, so a solve
+// allocates it once instead of on every iteration.
+type workspace struct {
+	sq []StageQuantities
+	v  []float64 // unnormalized stage visit rates
+}
+
+// newWorkspace sizes a workspace for configurations of up to stages
+// backoff stages.
+func newWorkspace(stages int) *workspace {
+	return &workspace{sq: make([]StageQuantities, stages), v: make([]float64, stages)}
+}
+
+// tau is tauGivenSucc on the workspace's buffers: it returns τ and,
+// unless pi is nil, writes the stage distribution into pi (len
+// params.Stages()).
+//
+//plclint:noalloc
+func (ws *workspace) tau(params config.Params, p, succ float64, pi []float64) float64 {
 	m := params.Stages()
-	sq := make([]StageQuantities, m)
+	sq, v := ws.sq[:m], ws.v[:m]
 	for i := 0; i < m; i++ {
 		sq[i] = Stage(params.CW[i], params.DC[i], p)
 	}
 
 	// Unnormalized visit rates, v_0 = 1.
-	v := make([]float64, m)
 	v[0] = 1
 	for i := 1; i < m; i++ {
 		leaveToNext := 1 - sq[i-1].Attempt*succ
@@ -181,9 +202,11 @@ func tauGivenSucc(params config.Params, p, succ float64) (tau float64, pi []floa
 		// defined limit τ = x_{m−1}/E[T_{m−1}] — return it explicitly
 		// instead of letting ±Inf/Inf produce NaN.
 		if escape <= 0 || math.IsInf(v[m-1]/escape, 0) {
-			pi = make([]float64, m)
-			pi[m-1] = 1
-			return sq[m-1].Attempt / sq[m-1].Slots, pi
+			clear(pi)
+			if pi != nil {
+				pi[m-1] = 1
+			}
+			return sq[m-1].Attempt / sq[m-1].Slots
 		}
 		v[m-1] /= escape
 	}
@@ -194,19 +217,19 @@ func tauGivenSucc(params config.Params, p, succ float64) (tau float64, pi []floa
 		den += v[i] * sq[i].Slots
 		sum += v[i]
 	}
-	pi = make([]float64, m)
 	for i := range pi {
 		pi[i] = v[i] / sum
 	}
 	if den == 0 {
-		return 1, pi // every stage attempts immediately (all CW = 1)
+		return 1 // every stage attempts immediately (all CW = 1)
 	}
-	return num / den, pi
+	return num / den
 }
 
 // Solve computes the model's fixed point for N stations running params:
-// the shared damped loop over one group of N, falling back to bisection
-// on the 1-D equation when the loop does not converge.
+// the shared fixed-point loop (solveFixedPoint) over one group of N,
+// falling back to bisection on the 1-D equation when the loop does not
+// converge.
 func Solve(n int, params config.Params, opts Options) (Prediction, error) {
 	if n < 1 {
 		return Prediction{}, fmt.Errorf("model: N=%d must be ≥ 1", n)

@@ -384,6 +384,42 @@ func TestModelFlowConservationVsMac(t *testing.T) {
 	}
 }
 
+// TestLoadedFlowConservationExact: on the shipped Poisson-load
+// examples every class is stable, so the model's delivered frames must
+// equal the offered load Σ N·T/interarrival to solver precision — a
+// converged fixed point leaves no visible flow residual.
+func TestLoadedFlowConservationExact(t *testing.T) {
+	for _, path := range []string{
+		"../../examples/scenarios/model-poisson-load.json",
+		"../../examples/scenarios/model-priority-mix.json",
+	} {
+		spec, err := Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var offered float64
+		for _, g := range spec.Stations {
+			offered += float64(g.Count) * spec.SimTimeMicros / g.Traffic.MeanInterarrivalMicros
+		}
+		c, err := Compile(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms, err := RunOnce(c.Points[0], 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range ms {
+			if m.Name != "successes" {
+				continue
+			}
+			if rel := math.Abs(m.Value-offered) / offered; rel > 1e-11 {
+				t.Errorf("%s: successes %.10f, offered %.10f (rel err %.2g > 1e-11)", spec.Name, m.Value, offered, rel)
+			}
+		}
+	}
+}
+
 // TestModelStarvationVsMac: a saturated CA3 class starves CA1 to
 // exactly zero in the model; the event-driven MAC's frozen-backoff
 // semantics must agree that the low class delivers (essentially)
