@@ -228,22 +228,55 @@ func BenchmarkBackoffStep(b *testing.B) {
 }
 
 // BenchmarkSimEngine measures the slot-synchronous simulator's event
-// rate at N=5 and reports simulated µs per wall-clock ns.
+// rate on three shapes and reports simulated µs per wall-clock ns and
+// busy periods per op:
+//   - N=5: the paper's CA1 defaults, 1 s simulated;
+//   - jobs: one replication each at N = 2, 5, 8 of CA1 over 15 s
+//     simulated, station 0 losing frames with probability 0.05 — the
+//     shape of a served sim job;
+//   - N=20: a crowded medium, where a busy period touching every
+//     station costs the most.
 func BenchmarkSimEngine(b *testing.B) {
-	b.ReportAllocs()
-	var simulated float64
-	for i := 0; i < b.N; i++ {
-		in := sim.DefaultInputs(5)
-		in.SimTime = 1e6
-		in.Seed = uint64(i + 1)
-		e, err := sim.NewEngine(in)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r := e.Run()
-		simulated += r.Elapsed
+	shape := func(n int, simTime float64) sim.Inputs {
+		in := sim.DefaultInputs(n)
+		in.SimTime = simTime
+		return in
 	}
-	b.ReportMetric(simulated/float64(b.Elapsed().Nanoseconds()), "simulated-µs/ns")
+	jobs := make([]sim.Inputs, 0, 3)
+	for _, n := range []int{2, 5, 8} {
+		in := shape(n, 15e6)
+		in.ErrorProb = make([]float64, n)
+		in.ErrorProb[0] = 0.05
+		jobs = append(jobs, in)
+	}
+	for _, bc := range []struct {
+		name   string
+		inputs []sim.Inputs
+	}{
+		{"N=5", []sim.Inputs{shape(5, 1e6)}},
+		{"jobs", jobs},
+		{"N=20", []sim.Inputs{shape(20, 1e6)}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var simulated float64
+			var busy int64
+			for i := 0; i < b.N; i++ {
+				for _, in := range bc.inputs {
+					in.Seed = uint64(i + 1)
+					e, err := sim.NewEngine(in)
+					if err != nil {
+						b.Fatal(err)
+					}
+					r := e.Run()
+					simulated += r.Elapsed
+					busy += r.Successes + r.CollisionEvents + r.FrameErrors
+				}
+			}
+			b.ReportMetric(simulated/float64(b.Elapsed().Nanoseconds()), "simulated-µs/ns")
+			b.ReportMetric(float64(busy)/float64(b.N), "busy-periods/op")
+		})
+	}
 }
 
 // BenchmarkMACNetwork measures the event-driven MAC's rate on the

@@ -58,6 +58,11 @@ func main() {
 		host.Add(d)
 	}
 
+	// Catch the shutdown signals before the banner announces the address:
+	// a client may answer it with SIGTERM as soon as it is served.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	fmt.Printf("plcd: listening on %s\n", host.Addr())
 	fmt.Printf("plcd: destination D at %s (TEI %d)\n", testbed.DstAddr, testbed.DstTEI)
 	for i := range tb.Transmitters {
@@ -67,8 +72,6 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- host.Serve() }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case s := <-sig:
 		fmt.Printf("plcd: %v, shutting down\n", s)

@@ -108,13 +108,15 @@ func main() {
 		os.Exit(1)
 	}
 	hs := &http.Server{Handler: srv.Handler()}
+	// Catch the shutdown signals before the banner announces the address:
+	// a client may answer it with SIGTERM as soon as it is served.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	fmt.Printf("plcsrv: listening on %s\n", ln.Addr())
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case s := <-sig:
 		fmt.Printf("plcsrv: %v, shutting down (drain %s)\n", s, *drainTime)

@@ -8,8 +8,8 @@
 //
 // in its doc comment must show no heap escapes in the compiler's own
 // escape analysis (go build -gcflags=-m). A change that introduces a
-// new escape into the steady-state MAC loop, AfterIdleN, or the
-// Welford/paired accumulators fails the lint immediately, instead of
+// new escape into the steady-state MAC loop, AfterIdleN, the
+// simulator's lazy medium loop, or the Welford/paired accumulators fails the lint immediately, instead of
 // surfacing as a benchmark regression three PRs later.
 //
 // Two diagnostic classes are excluded, because they cannot contribute

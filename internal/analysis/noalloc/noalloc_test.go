@@ -60,13 +60,13 @@ func TestFixtureGate(t *testing.T) {
 
 // TestRealTreeGate is the acceptance criterion on the real tree: every
 // //plclint:noalloc-annotated hot function — the steady-state MAC loop
-// and idle fast-forward, the backoff machine's AfterIdleN, and the Welford /
-// paired accumulators' Add and Merge — passes the escape gate as
-// shipped.
+// and idle fast-forward, the backoff machine's AfterIdleN, the
+// simulator's lazy-epoch medium loop, and the Welford / paired
+// accumulators' Add and Merge — passes the escape gate as shipped.
 func TestRealTreeGate(t *testing.T) {
 	mod := moduleDir(t)
 	pkgs, err := analysis.Load(mod,
-		"repro/internal/mac", "repro/internal/backoff", "repro/internal/stats")
+		"repro/internal/mac", "repro/internal/backoff", "repro/internal/sim", "repro/internal/stats")
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -78,6 +78,7 @@ func TestRealTreeGate(t *testing.T) {
 		"(*Network).step":            true,
 		"(*Network).idleRun":         true,
 		"(*Station).AfterIdleN":      true,
+		"(*Engine).runLazy":          true,
 		"(*Accumulator).Add":         true,
 		"(*Accumulator).Merge":       true,
 		"(*PairedAccumulator).Add":   true,

@@ -158,8 +158,8 @@ func (s *Station) AfterIdle() Action {
 // AfterIdleN advances the machine across k consecutive idle slots in
 // O(1): BC decrements by k in one step. Idle slots touch neither the
 // deferral counter nor the random stream, so the result is bit-identical
-// to k successive AfterIdle calls — the property the simulator's
-// idle-slot fast-forward relies on. k must satisfy 1 ≤ k ≤ BC (the k-th
+// to k successive AfterIdle calls — the property the MAC's idle
+// fast-forward relies on. k must satisfy 1 ≤ k ≤ BC (the k-th
 // batched slot still needs a pending backoff to decrement).
 //
 //plclint:noalloc
@@ -211,6 +211,24 @@ func (s *Station) AfterBusy(transmitted, success bool) Action {
 		s.dc--
 	}
 	return s.intent()
+}
+
+// Resume sets the station to the state an external driver of the same
+// machine reached on the station's own random stream: bpc, bc and dc as
+// the accessors report them, and the redraw and deferral totals. The
+// stage and window follow from bpc. internal/sim's lazy loop, which
+// holds the counters as deadlines while it runs, writes its final state
+// back through Resume so the station answers as if it had been driven.
+// It panics unless bpc ≥ 1 (at least one redraw happened) and bc, dc
+// are non-negative.
+func (s *Station) Resume(bpc, bc, dc int, redraws, deferrals int64) {
+	if bpc < 1 || bc < 0 || dc < 0 {
+		panic(fmt.Sprintf("backoff: Resume(bpc=%d, bc=%d, dc=%d): not a started station's state", bpc, bc, dc))
+	}
+	s.bpc, s.bc, s.dc = bpc, bc, dc
+	s.cw = s.params.CW[s.params.Stage(bpc-1)]
+	s.fresh = false
+	s.redraws, s.deferrals = redraws, deferrals
 }
 
 // BC returns the current backoff counter (slots until transmission).

@@ -394,3 +394,53 @@ func TestFigure1Scenario(t *testing.T) {
 		t.Fatalf("B after winning: CW=%d stage=%d, want 8/0", b.CW(), b.Stage())
 	}
 }
+
+// TestResumeContinuesTheMachine: a station resumed at another
+// station's counters, on a copy of its stream, reports the same state
+// and then behaves identically under the same medium events.
+func TestResumeContinuesTheMachine(t *testing.T) {
+	src := rng.New(11)
+	a := NewStation(config.DefaultCA1(), src)
+	act := a.Start()
+	events := rng.New(12)
+	step := func(s *Station, act Action, i int) Action {
+		if act == Transmit || events.Intn(3) == 0 {
+			return s.AfterBusy(act == Transmit, i%2 == 0)
+		}
+		return s.AfterIdle()
+	}
+	for i := 0; i < 200; i++ {
+		act = step(a, act, i)
+	}
+	srcCopy := *src
+	b := NewStation(config.DefaultCA1(), &srcCopy)
+	b.Resume(a.BPC(), a.BC(), a.DC(), a.Redraws(), a.Deferrals())
+	if a.Snapshot() != b.Snapshot() || a.Redraws() != b.Redraws() || a.Deferrals() != b.Deferrals() {
+		t.Fatalf("resumed state %+v ≠ driven state %+v", b.Snapshot(), a.Snapshot())
+	}
+	actB := act
+	for i := 0; i < 200; i++ {
+		events2 := *events
+		act = step(a, act, i)
+		*events = events2
+		actB = step(b, actB, i)
+		if act != actB || a.Snapshot() != b.Snapshot() {
+			t.Fatalf("step %d: resumed station diverged: %+v vs %+v", i, b.Snapshot(), a.Snapshot())
+		}
+	}
+}
+
+// TestResumeRejectsUnstartedState: bpc 0 (no redraw yet) and negative
+// counters are not states a started station can be in.
+func TestResumeRejectsUnstartedState(t *testing.T) {
+	for _, c := range [][3]int{{0, 1, 1}, {1, -1, 0}, {1, 0, -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Resume(%v) did not panic", c)
+				}
+			}()
+			NewStation(config.DefaultCA1(), rng.New(1)).Resume(c[0], c[1], c[2], 1, 0)
+		}()
+	}
+}

@@ -15,7 +15,10 @@
 // public domain.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Source is a deterministic xoshiro256** stream.
 //
@@ -87,26 +90,15 @@ func (s *Source) Intn(n int) int {
 	// Lemire's nearly-divisionless unbiased bounded draw.
 	bound := uint64(n)
 	x := s.Uint64()
-	hi, lo := mul64(x, bound)
+	hi, lo := bits.Mul64(x, bound)
 	if lo < bound {
 		threshold := -bound % bound
 		for lo < threshold {
 			x = s.Uint64()
-			hi, lo = mul64(x, bound)
+			hi, lo = bits.Mul64(x, bound)
 		}
 	}
 	return int(hi)
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	aLo, aHi := a&mask32, a>>32
-	bLo, bHi := b&mask32, b>>32
-	t := aHi*bLo + (aLo*bLo)>>32
-	lo = a * b
-	hi = aHi*bHi + (t >> 32) + ((t&mask32 + aLo*bHi) >> 32)
-	return hi, lo
 }
 
 // Backoff draws a 1901 backoff counter: uniform in {0, …, cw-1}. This is

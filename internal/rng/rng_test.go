@@ -2,6 +2,8 @@ package rng
 
 import (
 	"math"
+	"math/big"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -234,20 +236,32 @@ func TestSplitDeterministicProperty(t *testing.T) {
 	}
 }
 
+// TestMul64 pins the 128-bit product Intn's bounded draw uses
+// (math/bits.Mul64, one MULQ) against math/big on edge operands — 0, 1,
+// 2⁶⁴−1 and every power of two, pairwise — and on random pairs.
 func TestMul64(t *testing.T) {
-	tests := []struct {
-		a, b, hi, lo uint64
-	}{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{math.MaxUint64, 2, 1, math.MaxUint64 - 1},
-		{1 << 32, 1 << 32, 1, 0},
-		{math.MaxUint64, math.MaxUint64, math.MaxUint64 - 1, 1},
+	edges := []uint64{0, 1, math.MaxUint64}
+	for k := 1; k < 64; k++ {
+		edges = append(edges, 1<<k)
 	}
-	for _, tc := range tests {
-		hi, lo := mul64(tc.a, tc.b)
-		if hi != tc.hi || lo != tc.lo {
-			t.Errorf("mul64(%d, %d) = (%d, %d), want (%d, %d)", tc.a, tc.b, hi, lo, tc.hi, tc.lo)
+	var pairs [][2]uint64
+	for _, a := range edges {
+		for _, b := range edges {
+			pairs = append(pairs, [2]uint64{a, b})
+		}
+	}
+	src := New(64)
+	for i := 0; i < 10000; i++ {
+		pairs = append(pairs, [2]uint64{src.Uint64(), src.Uint64()})
+	}
+	mask := new(big.Int).SetUint64(math.MaxUint64)
+	for _, p := range pairs {
+		hi, lo := bits.Mul64(p[0], p[1])
+		prod := new(big.Int).Mul(new(big.Int).SetUint64(p[0]), new(big.Int).SetUint64(p[1]))
+		wantLo := new(big.Int).And(prod, mask).Uint64()
+		wantHi := new(big.Int).Rsh(prod, 64).Uint64()
+		if hi != wantHi || lo != wantLo {
+			t.Fatalf("Mul64(%d, %d) = (%d, %d), want (%d, %d)", p[0], p[1], hi, lo, wantHi, wantLo)
 		}
 	}
 }

@@ -150,13 +150,23 @@ func (c *cache) get(key string) (e entry, disk, ok bool) {
 	return e, true, true
 }
 
-// put stores a computed entry in both tiers. Like get's disk fault,
-// the disk write runs outside c.mu so persistence I/O never stalls
-// concurrent memory-tier lookups.
+// put stores a computed entry in both tiers: insert, then persist.
 func (c *cache) put(e entry) {
+	c.insert(e)
+	c.persist(e)
+}
+
+// insert stores e in the memory tier.
+func (c *cache) insert(e entry) {
 	c.mu.Lock()
 	c.insertLocked(e)
 	c.mu.Unlock()
+}
+
+// persist writes e to the disk tier, when there is one. Like get's
+// disk fault, the write runs outside c.mu so persistence I/O never
+// stalls concurrent memory-tier lookups.
+func (c *cache) persist(e entry) {
 	if c.dir != "" {
 		c.storeDisk(e)
 	}

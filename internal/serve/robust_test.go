@@ -436,9 +436,14 @@ func TestReadyzDegradedJournal(t *testing.T) {
 		waitDone(t, j)
 	}
 
-	// Recovery: one successful accept write resets the streak.
+	// Recovery: one successful accept write resets the streak. Hold the
+	// worker until Submit has written the accept: a job that ends first
+	// collapses its accept away, and then no write resets the streak.
+	hold := make(chan struct{})
+	s.testHoldRun = func(*Job) { <-hold }
 	fail.Store(false)
 	j, _, _, err := s.Submit(tinySpec("recovered"), 2)
+	close(hold)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -219,10 +219,28 @@ type Server struct {
 	queue chan *Job
 	wg    sync.WaitGroup
 
+	// persistQ feeds the persister goroutine, FIFO. A worker that
+	// computed a result puts it in the memory tier and hands it here;
+	// the persister writes the disk tier and only then finishes the job,
+	// so a terminal state still means the result is on disk, with the
+	// end record journaled after it. waitWorkers closes the queue once
+	// the workers have stopped; persistDone closes when it is empty.
+	persistQ    chan persisted
+	persistDone chan struct{}
+	persistOnce sync.Once
+
 	// testHoldRun, when set (tests only), is called by a worker after
 	// dequeuing a job and before running it — a hook to hold the worker
 	// so queue and coalescing states become deterministic.
 	testHoldRun func(*Job)
+}
+
+// persisted is a job whose result is in the memory tier, on its way
+// to the disk tier and its terminal state.
+type persisted struct {
+	job *Job
+	ent entry
+	svc time.Duration // the job's service time, for finishJob
 }
 
 // predictFlight is one in-flight /v1/predict solve; concurrent misses
@@ -268,12 +286,17 @@ func New(cfg Config) (*Server, error) {
 		inflight:  make(map[string]*Job),
 		predict:   make(map[string]*predictFlight),
 		queue:     make(chan *Job, cfg.QueueDepth),
+		// Room for every job that can be queued or running, so a worker
+		// blocks on the hand-off only when the disk falls that far behind.
+		persistQ:    make(chan persisted, cfg.QueueDepth+cfg.Workers),
+		persistDone: make(chan struct{}),
 	}
 	s.metrics = newMetrics(s)
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker()
 	}
+	go s.persister()
 	if len(pending) > 0 {
 		s.replaying.Store(true)
 		s.replayWG.Add(1)
@@ -283,7 +306,8 @@ func New(cfg Config) (*Server, error) {
 }
 
 // Close stops accepting submissions, cancels queued and running jobs,
-// and waits for the workers to drain. Safe to call more than once.
+// and waits for the workers and the persister to drain. Safe to call
+// more than once.
 // Jobs cancelled here reach a terminal state and are journaled as
 // such; to instead leave unfinished jobs recoverable, Drain first.
 func (s *Server) Close() {
@@ -296,7 +320,7 @@ func (s *Server) Close() {
 		s.mu.Unlock()
 		s.cancelAll()
 	}
-	s.wg.Wait()
+	s.waitWorkers()
 	s.replayWG.Wait()
 	if s.journal != nil {
 		s.journal.close()
@@ -308,13 +332,15 @@ func (s *Server) Close() {
 // journal records deliberately left non-terminal, so a restart replays
 // them — the graceful half of crash recovery. It returns how many of
 // the jobs pending at the call finished (drained) versus were given up
-// on (abandoned). timeout ≤ 0 abandons immediately. Call Close
-// afterwards to release the remaining resources.
+// on (abandoned). timeout ≤ 0 abandons immediately. Either way Drain
+// returns only once the persister has written every finished result
+// and its end record. Call Close afterwards to release the remaining
+// resources.
 func (s *Server) Drain(timeout time.Duration) (drained, abandoned int) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		s.wg.Wait()
+		s.waitWorkers()
 		return 0, 0
 	}
 	s.closed = true
@@ -330,7 +356,7 @@ func (s *Server) Drain(timeout time.Duration) (drained, abandoned int) {
 
 	workersDone := make(chan struct{})
 	go func() {
-		s.wg.Wait()
+		s.waitWorkers()
 		close(workersDone)
 	}()
 	if timeout > 0 {
@@ -498,10 +524,12 @@ func (s *Server) admit(sub submission, timeout time.Duration) (job *Job, cached,
 
 	j := s.registerLocked(newJob(s.nextIDLocked(sub.idPrefix), sub.study))
 	j.timeout = s.cfg.effectiveTimeout(timeout)
+	// Mark before the send: a worker may dequeue and start the job at
+	// once. A job the full queue bounces is dropped, trace and all.
+	j.trace.Mark(traceQueued)
 	select {
 	case s.queue <- j:
 		km.submissions.Inc()
-		j.trace.Mark(traceQueued)
 	default:
 		// Undo the registration: the job was never admitted (nothing
 		// was counted as a submission, only as a rejection).
@@ -849,11 +877,23 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob executes one dequeued job to a terminal state. A panic
-// anywhere in the job's execution — a replication, a progress callback,
-// result encoding — is recovered here (or inside the par pool, which
-// converts worker panics to *par.PanicError) and fails only this job;
-// the worker goroutine and every other job survive.
+// waitWorkers waits for the workers to stop, then for the persister to
+// write out everything they handed it. Safe to call more than once and
+// from several goroutines.
+func (s *Server) waitWorkers() {
+	s.wg.Wait()
+	s.persistOnce.Do(func() { close(s.persistQ) })
+	<-s.persistDone
+}
+
+// runJob executes one dequeued job until its result is computed, or to
+// a terminal state when it fails. A computed result goes into the
+// memory tier and on to the persister, and the worker takes the next
+// job. A panic anywhere in the job's execution — a replication, a
+// progress callback, result encoding — is recovered here (or inside
+// the par pool, which converts worker panics to *par.PanicError) and
+// fails only this job; the worker goroutine and every other job
+// survive.
 func (s *Server) runJob(j *Job) {
 	started := obs.Now() // operational timing only; never feeds results
 	// The registry keeps finished jobs around; dropping the runner here
@@ -882,8 +922,32 @@ func (s *Server) runJob(j *Job) {
 		s.finishJob(j, state, nil, err.Error(), svc, panicked)
 		return
 	}
-	s.cache.put(ent)
-	s.finishJob(j, StateDone, &ent, "", svc, false)
+	s.cache.insert(ent)
+	s.persistQ <- persisted{job: j, ent: ent, svc: svc}
+}
+
+// persister writes the results the workers hand it to the disk tier,
+// in hand-off order, and finishes each job after its write: terminal
+// Done implies the result is on disk, and the end record follows it.
+// It runs until waitWorkers closes persistQ.
+func (s *Server) persister() {
+	defer close(s.persistDone)
+	for p := range s.persistQ {
+		s.persistOne(p)
+	}
+}
+
+// persistOne writes one result and finishes its job. A panic here
+// fails only that job; the persister goes on with the next one.
+func (s *Server) persistOne(p persisted) {
+	defer func() {
+		if v := recover(); v != nil {
+			err := &par.PanicError{Value: v, Stack: debug.Stack()}
+			s.finishJob(p.job, StateFailed, nil, err.Error(), p.svc, true)
+		}
+	}()
+	s.cache.persist(p.ent)
+	s.finishJob(p.job, StateDone, &p.ent, "", p.svc, false)
 }
 
 // classify maps a job execution error to its terminal state. The

@@ -98,40 +98,35 @@ func (c *controller) predictInitial() {
 	c.accumulate(0)
 }
 
-// predictNext captures the pre-draw state after a busy event and adds
-// the conditional expectation of the next cycle. It must run after the
-// event is resolved (winner known) but before the AfterBusy updates
-// consume the redraw randomness; t0 is the simulated time at which the
-// next cycle starts. winner is the index of the successful transmitter,
-// or −1 for collisions and frame errors.
+// setStation records station i's pre-draw state after a busy event,
+// from its counters entering that event: bc, dc and bpc as
+// backoff.Station reports them, and whether it was the successful
+// transmitter. It must run after the event is resolved (winner known)
+// but before the redraws consume randomness; once every station is
+// set, accumulate adds the next cycle's conditional expectation.
 //
-// The state mapping mirrors backoff.Station.AfterBusy exactly: a
-// successful winner resets its backoff-stage counter first; then a
-// station redraws (uniform on its stage window) iff its backoff or
-// deferral counter hit zero, and otherwise keeps deferring with both
-// counters decremented.
-func (c *controller) predictNext(t0 float64, winner int) {
-	for i, s := range c.e.stations {
-		bc, dc, bpc := s.BC(), s.DC(), s.BPC()
-		if i == winner {
-			bpc = 0
-		}
-		if bc == 0 || dc == 0 {
-			p := c.e.in.stationParams(i)
-			c.drawing[i] = true
-			c.w[i] = p.CW[p.Stage(bpc)]
-		} else {
-			c.drawing[i] = false
-			c.fixed[i] = bc - 1
-		}
+// The mapping mirrors backoff.Station.AfterBusy exactly: a successful
+// winner resets its backoff-stage counter first; then a station redraws
+// (uniform on its stage window) iff its backoff or deferral counter hit
+// zero, and otherwise keeps deferring with both counters decremented.
+func (c *controller) setStation(i, bc, dc, bpc int, winner bool) {
+	if winner {
+		bpc = 0
 	}
-	c.accumulate(t0)
+	if bc == 0 || dc == 0 {
+		p := c.e.in.stationParams(i)
+		c.drawing[i] = true
+		c.w[i] = p.CW[p.Stage(bpc)]
+	} else {
+		c.drawing[i] = false
+		c.fixed[i] = bc - 1
+	}
 }
 
 // accumulate adds E[next-cycle counter increments | pre-draw state] to
 // the running expectations, replaying the engine's per-slot time
-// accumulation from t0 so horizon truncation matches the medium loop
-// bit for bit.
+// accumulation from t0 — the simulated time at which the next cycle
+// starts — so horizon truncation matches the medium loop bit for bit.
 func (c *controller) accumulate(t0 float64) {
 	n := len(c.w)
 	in := &c.e.in

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/backoff"
 	"repro/internal/config"
+	"repro/internal/rng"
 )
 
 // noopObserver forces the engine onto its slot-by-slot path without
@@ -104,6 +105,114 @@ func TestFastForwardBitIdenticalHeterogeneous(t *testing.T) {
 				t.Fatalf("N=%d seed=%d heterogeneous: batched ≠ slot-by-slot\nbatched:  %+v\nslotwise: %+v",
 					n, seed, fast, slow)
 			}
+		}
+	}
+	// The wide station counts: mixed ladders, channel errors on every
+	// third station, with and without control variates.
+	for _, n := range wideNs {
+		for seed := uint64(1); seed <= 3; seed++ {
+			in := DefaultInputs(n)
+			in.SimTime = 2e6
+			in.Seed = seed
+			in.PerStation = mixedStations(n)
+			in.ErrorProb = make([]float64, n)
+			for i := 0; i < n; i += 3 {
+				in.ErrorProb[i] = 0.1
+			}
+			assertLazyMatchesObserved(t, in, seed == 2)
+		}
+	}
+}
+
+// TestLazyLoopRandomized compares the lazy loop with the observer loop
+// on randomized inputs: N 1–40, per-station ladders of 1–5 stages with
+// windows 1–64 and deferral counters 0–20 (or never expiring), random
+// error probabilities, random horizons, and controls on a third of the
+// cases.
+func TestLazyLoopRandomized(t *testing.T) {
+	cases := 600
+	if testing.Short() {
+		cases = 150
+	}
+	src := rng.New(2024)
+	for c := 0; c < cases; c++ {
+		n := 1 + src.Intn(40)
+		in := DefaultInputs(n)
+		in.SimTime = 1e4 + float64(src.Intn(1e6))
+		in.Seed = uint64(c + 1)
+		in.PerStation = make([]config.Params, n)
+		for i := range in.PerStation {
+			m := 1 + src.Intn(5)
+			p := config.Params{Name: "rand", CW: make([]int, m), DC: make([]int, m)}
+			for k := 0; k < m; k++ {
+				p.CW[k] = 1 + src.Intn(64)
+				p.DC[k] = src.Intn(21)
+				if src.Intn(8) == 0 {
+					p.DC[k] = 1 << 40
+				}
+			}
+			in.PerStation[i] = p
+		}
+		if src.Intn(2) == 0 {
+			in.ErrorProb = make([]float64, n)
+			for i := range in.ErrorProb {
+				in.ErrorProb[i] = float64(src.Intn(5)) / 8
+			}
+		}
+		assertLazyMatchesObserved(t, in, c%3 == 0)
+	}
+}
+
+// wideNs are the station counts that straddle 32- and 64-bit word
+// boundaries; equivalence tests run the lazy loop there too.
+var wideNs = []int{20, 33, 64, 65}
+
+// mixedStations returns n per-station configurations cycling through
+// the 1901 classes, the 802.11 baseline, a 2-stage ladder and
+// deferral-disabled polite stations.
+func mixedStations(n int) []config.Params {
+	ladders := []config.Params{
+		config.Default1901(config.CA1),
+		config.Default1901(config.CA3),
+		config.Default80211().Params(),
+		{Name: "two-stage", CW: []int{4, 12}, DC: []int{1, 2}},
+		{Name: "polite", CW: []int{64, 128, 128, 128}, DC: []int{1 << 20, 1 << 20, 1 << 20, 1 << 20}},
+	}
+	ps := make([]config.Params, n)
+	for i := range ps {
+		ps[i] = ladders[i%len(ladders)]
+	}
+	return ps
+}
+
+// assertLazyMatchesObserved runs in through the lazy loop and the
+// slot-by-slot observer loop, with or without controls, and fails on
+// any difference in the Result or in the stations' final state.
+func assertLazyMatchesObserved(t *testing.T, in Inputs, controls bool) {
+	t.Helper()
+	lazy, err := NewEngine(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow, err := NewEngine(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if controls {
+		lazy.EnableControls()
+		slow.EnableControls()
+	}
+	slow.SetObserver(noopObserver{})
+	rl, rs := lazy.Run(), slow.Run()
+	if !reflect.DeepEqual(rl, rs) {
+		t.Fatalf("N=%d seed=%d controls=%v: lazy ≠ slot-by-slot\nlazy:     %+v\nslotwise: %+v",
+			in.N, in.Seed, controls, rl, rs)
+	}
+	for i := 0; i < in.N; i++ {
+		fs, ss := lazy.Station(i), slow.Station(i)
+		if fs.Snapshot() != ss.Snapshot() || fs.Redraws() != ss.Redraws() || fs.Deferrals() != ss.Deferrals() {
+			t.Fatalf("N=%d seed=%d station %d: lazy state %+v (%d redraws, %d deferrals) ≠ slot-by-slot %+v (%d, %d)",
+				in.N, in.Seed, i, fs.Snapshot(), fs.Redraws(), fs.Deferrals(), ss.Snapshot(), ss.Redraws(), ss.Deferrals())
 		}
 	}
 }

@@ -90,6 +90,21 @@ func TestChannelErrorObserverEquivalence(t *testing.T) {
 			t.Fatalf("seed %d: observer saw %d Success slots, result says %d", seed, counts[Success], rSlow.Successes)
 		}
 	}
+	// The wide station counts, homogeneous and mixed, every station
+	// error-prone, with and without control variates.
+	for _, n := range wideNs {
+		for seed := uint64(1); seed <= 2; seed++ {
+			probs := make([]float64, n)
+			for i := range probs {
+				probs[i] = float64(i%4) * 0.1
+			}
+			in := errInputs(seed, probs)
+			if seed == 2 {
+				in.PerStation = mixedStations(n)
+			}
+			assertLazyMatchesObserved(t, in, n%2 == 1)
+		}
+	}
 }
 
 // TestChannelErrorBackoffDrawsUnperturbed checks the dedicated-stream

@@ -249,22 +249,47 @@ func (k SlotKind) String() string {
 
 // Engine runs N backoff processes over the shared slotted medium.
 //
-// The medium loop is event-driven over idle time: when every station
-// defers, the next min(BC) slots are provably idle and consume no
-// randomness, so the engine batches them through AfterIdleN instead of
-// stepping slot by slot. With an Observer installed the engine falls
-// back to slot-by-slot stepping (traces must see every slot); both modes
-// produce bit-identical Results.
+// Without an observer, Run takes the lazy-epoch loop (runLazy). Each
+// station's counters live there as two absolute deadlines: fire, the
+// global slot index at which it transmits, and jump, the busy-period
+// index at which its deferral counter expires. A busy period then
+// redraws only its transmitters and the stations whose jump it is;
+// every other station's counters move implicitly with the slot and
+// busy indices (BC = fire − slot, DC = jump − busy), and an idle run
+// touches no station. With an Observer installed the engine steps slot
+// by slot on backoff.Station, the reference machine, because traces
+// must see every slot and every counter. Both paths draw the same
+// per-station streams in the same per-station order, so their Results
+// are bit-identical.
 type Engine struct {
 	in       Inputs
-	stations []*backoff.Station
-	errSrc   []*rng.Source // per-station channel-error streams (nil entries: error-free)
-	intents  []backoff.Action
-	txs      []int
-	txMask   []bool // scratch: transmitter membership during a collision
-	snaps    []backoff.Snapshot
+	stations []*backoff.Station // built on first use (buildStations)
+	lanes    []lane
+	fire     []int        // per station: global slot index of its next transmission
+	jump     []int        // per station: busy-period index at which its DC expires
+	errSrc   []rng.Source // per-station channel-error streams (nil: error-free channel)
+	txs      []int        // scratch: the current event's transmitters
+	due      []int        // scratch: the stations the lazy loop redraws at a busy period
 	observer Observer
 	ctrl     *controller // non-nil after EnableControls (see control.go)
+	// lazyEnd holds the slot and busy-period indices at which runLazy
+	// stopped (ok once it has run), for writing the final counters back
+	// into the stations.
+	lazyEnd struct {
+		slot, busy int
+		ok         bool
+	}
+}
+
+// lane is a station's state in the lazy loop besides its deadlines.
+// The station's backoff.Station draws from the same src, so both paths
+// advance one stream per station.
+type lane struct {
+	src       rng.Source
+	cw, dc    []int // the station's per-stage windows and deferral counters
+	bpc       int
+	redraws   int64
+	deferrals int64 // set when runLazy stops
 }
 
 // errStreamBase labels the per-station channel-error streams split off
@@ -279,23 +304,28 @@ func NewEngine(in Inputs) (*Engine, error) {
 		return nil, err
 	}
 	root := rng.New(in.Seed)
+	n := in.N
+	// fire, jump, txs and due; due gets one spare entry because the
+	// branch-free appends in runLazy write a slot before they count it.
+	ints := make([]int, 4*n+1)
 	e := &Engine{
-		in:       in,
-		stations: make([]*backoff.Station, in.N),
-		intents:  make([]backoff.Action, in.N),
-		txs:      make([]int, 0, in.N),
-		txMask:   make([]bool, in.N),
-		snaps:    make([]backoff.Snapshot, in.N),
+		in:    in,
+		lanes: make([]lane, n),
+		fire:  ints[:n:n],
+		jump:  ints[n : 2*n : 2*n],
+		txs:   ints[2*n : 2*n : 3*n],
+		due:   ints[3*n:],
 	}
-	for i := range e.stations {
-		e.stations[i] = backoff.NewStation(in.stationParams(i), root.Split(uint64(i)))
+	for i := range e.lanes {
+		p := in.stationParams(i)
+		l := &e.lanes[i]
+		l.src = *root.Split(uint64(i))
+		l.cw, l.dc = p.CW, p.DC
 	}
 	if in.ErrorProb != nil {
-		e.errSrc = make([]*rng.Source, in.N)
-		for i, p := range in.ErrorProb {
-			if p > 0 {
-				e.errSrc[i] = root.Split(errStreamBase + uint64(i))
-			}
+		e.errSrc = make([]rng.Source, in.N)
+		for i := range e.errSrc {
+			e.errSrc[i] = *root.Split(errStreamBase + uint64(i))
 		}
 	}
 	return e, nil
@@ -304,126 +334,55 @@ func NewEngine(in Inputs) (*Engine, error) {
 // SetObserver installs a trace observer; pass nil to remove it.
 func (e *Engine) SetObserver(o Observer) { e.observer = o }
 
-// Station exposes station i for inspection in tests and traces.
-func (e *Engine) Station(i int) *backoff.Station { return e.stations[i] }
+// Station exposes station i for inspection in tests and traces. After
+// Run it holds the station's final counters whichever loop ran.
+func (e *Engine) Station(i int) *backoff.Station {
+	e.buildStations()
+	return e.stations[i]
+}
+
+// buildStations makes the backoff.Station block on first use: the
+// observer loop drives it, and the lazy loop only writes its final
+// counters back, so a plain run never needs it. Each station draws from
+// its lane's stream, so it continues where the lazy loop stopped.
+func (e *Engine) buildStations() {
+	if e.stations != nil {
+		return
+	}
+	e.stations = make([]*backoff.Station, e.in.N)
+	for i := range e.stations {
+		e.stations[i] = backoff.NewStation(e.in.stationParams(i), &e.lanes[i].src)
+		if e.lazyEnd.ok {
+			e.resume(i)
+		}
+	}
+}
+
+// resume writes the lazy loop's final counters for station i into its
+// backoff.Station.
+func (e *Engine) resume(i int) {
+	l := &e.lanes[i]
+	e.stations[i].Resume(l.bpc, e.fire[i]-e.lazyEnd.slot, e.jump[i]-e.lazyEnd.busy, l.redraws, l.deferrals)
+}
 
 // Run executes the simulation until SimTime elapses and returns the
 // aggregated result. Run may be called once per Engine.
 func (e *Engine) Run() Result {
 	res := Result{Inputs: e.in, PerStation: make([]StationStats, e.in.N)}
 
-	// The first cycle's draws happen inside Start; its conditional
-	// expectation must be captured before they do.
+	// The first cycle's draws happen when the stations start; its
+	// conditional expectation must be captured before they do.
 	if e.ctrl != nil {
 		e.ctrl.predictInitial()
 	}
-	for i, s := range e.stations {
-		e.intents[i] = s.Start()
-	}
-
 	var t float64
-	for t <= e.in.SimTime {
-		e.txs = e.txs[:0]
-		for i, a := range e.intents {
-			if a == backoff.Transmit {
-				e.txs = append(e.txs, i)
-			}
-		}
-
-		var kind SlotKind
-		switch len(e.txs) {
-		case 0:
-			kind = Idle
-		case 1:
-			kind = Success
-			// Channel error: the lone transmission is lost without a
-			// collision. Decided before the observer fires so traces see
-			// the true slot kind; the draw comes from a dedicated
-			// stream, never the backoff streams, and only
-			// single-transmitter events consume it.
-			if w := e.txs[0]; e.errSrc != nil && e.errSrc[w] != nil && e.errSrc[w].Bernoulli(e.in.ErrorProb[w]) {
-				kind = FrameError
-			}
-		default:
-			kind = Collision
-		}
-
-		if e.observer != nil {
-			for i, s := range e.stations {
-				e.snaps[i] = s.Snapshot()
-			}
-			e.observer.OnSlot(t, kind, e.txs, e.snaps)
-		}
-
-		switch kind {
-		case Idle:
-			if e.observer != nil {
-				// Traces must see every slot: step one at a time.
-				res.IdleSlots++
-				for i, s := range e.stations {
-					e.intents[i] = s.AfterIdle()
-				}
-				t += timing.SlotTime
-				break
-			}
-			fastForwardIdle(e.stations, e.intents, &t, e.in.SimTime, &res.IdleSlots)
-
-		case Success:
-			w := e.txs[0]
-			res.Successes++
-			res.PerStation[w].Successes++
-			res.PerStation[w].Attempts++
-			if e.ctrl != nil {
-				e.ctrl.predictNext(t+e.in.Ts, w)
-			}
-			for i, s := range e.stations {
-				e.intents[i] = s.AfterBusy(i == w, true)
-			}
-			t += e.in.Ts
-
-		case FrameError:
-			// The medium is busy for Ts either way (the frame was sent;
-			// the loss happens at the receiver), but the transmitter's
-			// ACK carries the all-blocks-errored indication, so its
-			// backoff advances to the next stage like a failure.
-			w := e.txs[0]
-			res.FrameErrors++
-			res.PerStation[w].Errored++
-			res.PerStation[w].Attempts++
-			if e.ctrl != nil {
-				e.ctrl.predictNext(t+e.in.Ts, -1)
-			}
-			for i, s := range e.stations {
-				e.intents[i] = s.AfterBusy(i == w, false)
-			}
-			t += e.in.Ts
-
-		case Collision:
-			res.CollisionEvents++
-			res.CollidedFrames += int64(len(e.txs))
-			for _, i := range e.txs {
-				e.txMask[i] = true
-				res.PerStation[i].Collided++
-				res.PerStation[i].Attempts++
-			}
-			if e.ctrl != nil {
-				e.ctrl.predictNext(t+e.in.Tc, -1)
-			}
-			for i, s := range e.stations {
-				e.intents[i] = s.AfterBusy(e.txMask[i], false)
-			}
-			for _, i := range e.txs {
-				e.txMask[i] = false
-			}
-			t += e.in.Tc
-		}
+	if e.observer != nil {
+		t = e.runObserved(&res)
+	} else {
+		t = e.runLazy(&res)
 	}
 
 	res.Elapsed = t
-	for i, s := range e.stations {
-		res.PerStation[i].Deferrals = s.Deferrals()
-		res.PerStation[i].Redraws = s.Redraws()
-	}
 	attempts := res.CollidedFrames + res.Successes + res.FrameErrors
 	if attempts > 0 {
 		res.CollisionProbability = float64(res.CollidedFrames) / float64(attempts)
@@ -435,29 +394,204 @@ func (e *Engine) Run() Result {
 	return res
 }
 
-// fastForwardIdle batches the provably idle run that begins at *t: when
-// every station defers, the next min(BC) slots are empty and consume no
-// randomness, so the per-station updates collapse into one AfterIdleN
-// call. The per-slot time accounting is replayed scalar-wise (one
-// SlotTime addition per slot) so the float accumulation — and the
-// SimTime stopping point — stays bit-identical to the slot-by-slot
-// loop.
-func fastForwardIdle(stations []*backoff.Station, intents []backoff.Action, t *float64, simTime float64, idleSlots *int64) {
-	m := stations[0].BC()
-	for _, s := range stations[1:] {
-		if bc := s.BC(); bc < m {
-			m = bc
+// runLazy is the medium loop without an observer; it returns the final
+// simulated time. Per busy period it scans the deadlines once for the
+// smallest fire, which gives the idle gap and the transmitters, then
+// redraws the transmitters and the stations whose jump is this busy
+// period — nobody else. Deadlines are compared only through the
+// differences fire − slot and jump − busy, which are the true BC and DC
+// even where a huge window or deferral counter wraps the absolute value.
+// The idle run still advances t one SlotTime addition per slot: that
+// accumulation defines the bits of Elapsed and the SimTime stopping
+// point, which must match the slot-by-slot loop. On return the stations
+// hold the counters the reference machine would (see buildStations).
+//
+//plclint:noalloc
+func (e *Engine) runLazy(res *Result) float64 {
+	fire, jump := e.fire, e.jump
+	txs, due := e.txs[:len(fire)], e.due
+	simTime := e.in.SimTime
+	for i := range fire {
+		e.redraw(i, -1, -1) // Station.Start: a redraw before slot 0
+	}
+	var (
+		t          float64
+		slot, busy int // indices of the next slot and of the next busy period
+	)
+	for t <= simTime {
+		// One pass over the deadlines: the smallest BC is the idle gap,
+		// the stations that reach it transmit, and the stations whose DC
+		// is zero redraw at the coming busy period whatever happens there.
+		// The updates are branch-free (b2i), since every comparison is a
+		// coin flip to a predictor.
+		gap, nt, nd := math.MaxInt, 0, 0
+		for i, f := range fire {
+			bc := f - slot
+			nt &= -b2i(bc >= gap) // a new minimum restarts the transmitter set
+			gap = min(gap, bc)
+			txs[nt] = i
+			nt += b2i(bc == gap)
+			due[nd] = i
+			nd += b2i(jump[i] == busy)
+		}
+		for ; gap > 0 && t <= simTime; gap-- {
+			t += timing.SlotTime
+			slot++
+		}
+		if t > simTime {
+			break
+		}
+
+		_, dur, winner := e.busy(res, txs[:nt])
+		if e.ctrl != nil {
+			for i := range fire {
+				e.ctrl.setStation(i, fire[i]-slot, jump[i]-busy, e.lanes[i].bpc, i == winner)
+			}
+			e.ctrl.accumulate(t + dur)
+		}
+		if winner >= 0 {
+			e.lanes[winner].bpc = 0 // a success restarts at backoff stage 0
+		}
+		// Every transmitter redraws too: the redraw set is the union.
+		// A redraw is the same whether it follows an attempt or a
+		// deferral; the deferrals are counted once the loop stops.
+		for _, i := range txs[:nt] {
+			due[nd] = i
+			nd += b2i(jump[i] != busy)
+		}
+		for _, i := range due[:nd] {
+			e.redraw(i, slot, busy)
+		}
+		t += dur
+		slot++
+		busy++
+	}
+
+	res.IdleSlots = int64(slot - busy)
+	e.lazyEnd.slot, e.lazyEnd.busy, e.lazyEnd.ok = slot, busy, true
+	for i := range e.lanes {
+		// Every redraw but the first follows an attempt or a deferral.
+		l := &e.lanes[i]
+		l.deferrals = l.redraws - 1 - res.PerStation[i].Attempts
+		res.PerStation[i].Redraws, res.PerStation[i].Deferrals = l.redraws, l.deferrals
+		if e.stations != nil {
+			e.resume(i)
 		}
 	}
-	k := 0
-	for k < m && *t <= simTime {
-		*idleSlots++
-		*t += timing.SlotTime
-		k++
+	return t
+}
+
+// redraw is backoff.Station's redraw on the lazy loop's state: station
+// i enters the stage its BPC addresses at busy slot slot (busy-period
+// index busy; −1 for the start) and draws its backoff counter.
+func (e *Engine) redraw(i, slot, busy int) {
+	l := &e.lanes[i]
+	stage := min(l.bpc, len(l.cw)-1)
+	e.fire[i] = slot + 1 + l.src.Backoff(l.cw[stage])
+	e.jump[i] = busy + 1 + l.dc[stage]
+	l.bpc++
+	l.redraws++
+}
+
+// b2i is 1 for true and 0 for false. The compiler lowers it to a flag
+// set, so a scan that counts with it does not branch.
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	for i, s := range stations {
-		intents[i] = s.AfterIdleN(k)
+	return 0
+}
+
+// runObserved is the slot-by-slot medium loop on backoff.Station; it
+// returns the final simulated time. The observer sees every slot, idle
+// ones included, with each station's counters entering it.
+func (e *Engine) runObserved(res *Result) float64 {
+	e.buildStations()
+	intents := make([]backoff.Action, e.in.N)
+	snaps := make([]backoff.Snapshot, e.in.N)
+	for i, s := range e.stations {
+		intents[i] = s.Start()
 	}
+	var t float64
+	for t <= e.in.SimTime {
+		e.txs = e.txs[:0]
+		for i, a := range intents {
+			if a == backoff.Transmit {
+				e.txs = append(e.txs, i)
+			}
+		}
+		// A busy event resolves (its channel error drawn) before the
+		// observer fires, so traces see the true slot kind.
+		kind, dur, winner := Idle, timing.SlotTime, -1
+		if len(e.txs) > 0 {
+			kind, dur, winner = e.busy(res, e.txs)
+		} else {
+			res.IdleSlots++
+		}
+
+		for i, s := range e.stations {
+			snaps[i] = s.Snapshot()
+		}
+		e.observer.OnSlot(t, kind, e.txs, snaps)
+
+		if kind == Idle {
+			for i, s := range e.stations {
+				intents[i] = s.AfterIdle()
+			}
+		} else {
+			if e.ctrl != nil {
+				for i, s := range e.stations {
+					e.ctrl.setStation(i, s.BC(), s.DC(), s.BPC(), i == winner)
+				}
+				e.ctrl.accumulate(t + dur)
+			}
+			for i, s := range e.stations {
+				intents[i] = s.AfterBusy(intents[i] == backoff.Transmit, kind == Success)
+			}
+		}
+		t += dur
+	}
+	for i, s := range e.stations {
+		res.PerStation[i].Deferrals = s.Deferrals()
+		res.PerStation[i].Redraws = s.Redraws()
+	}
+	return t
+}
+
+// busy resolves the busy period whose transmitters are txs: it draws
+// a lone transmitter's channel error, adds the event to res, and returns
+// its kind, how long it holds the medium, and the successful
+// transmitter (−1 for a collision or a frame error).
+func (e *Engine) busy(res *Result, txs []int) (kind SlotKind, dur float64, winner int) {
+	if len(txs) > 1 {
+		res.CollisionEvents++
+		res.CollidedFrames += int64(len(txs))
+		for _, i := range txs {
+			res.PerStation[i].Collided++
+			res.PerStation[i].Attempts++
+		}
+		return Collision, e.in.Tc, -1
+	}
+	w := txs[0]
+	res.PerStation[w].Attempts++
+	// Channel error: the lone transmission is lost without a collision.
+	// The draw comes from the station's dedicated stream, never the
+	// backoff streams, and only single-transmitter events consume it.
+	// That stream feeds nothing but this station's errors and the draw
+	// lies in [0, 1), so drawing at p = 0 (never below) or p = 1 (always
+	// below) changes no outcome; drawing unconditionally keeps a branch
+	// on which station won out of the loop. The medium is busy for Ts
+	// either way (the loss happens at the receiver), but the ACK carries
+	// the all-blocks-errored indication, so the transmitter's backoff
+	// advances to the next stage like a failure.
+	if e.errSrc != nil && e.errSrc[w].Float64() < e.in.ErrorProb[w] {
+		res.FrameErrors++
+		res.PerStation[w].Errored++
+		return FrameError, e.in.Ts, -1
+	}
+	res.Successes++
+	res.PerStation[w].Successes++
+	return Success, e.in.Ts, w
 }
 
 // Sim1901 reproduces the published sim_1901 entry point: it builds an
