@@ -5,7 +5,7 @@ BENCH     ?= .
 BENCHTIME ?= 1s
 COUNT     ?= 3
 
-.PHONY: build test race bench fuzz-smoke lint
+.PHONY: build test race bench fuzz-smoke lint deadcode
 
 build:
 	go build ./...
@@ -23,6 +23,13 @@ lint:
 	go vet ./...
 	go run ./cmd/plclint ./...
 
+# deadcode is the reachability gate: it links every cmd/*, examples/*
+# and perfbench with the linker's dependency dump and fails on any
+# internal/ func or method no program reaches that the gate's keep-list
+# does not name with a reason. See docs/LINTING.md.
+deadcode:
+	go test -count=1 -tags reachability -run TestReachability .
+
 race:
 	go test -race ./...
 
@@ -37,7 +44,7 @@ bench:
 	@rm -f bench.out
 	@echo "wrote bench-results.json"
 
-# fuzz-smoke gives each scenario/campaign/journal/solver fuzzer a short budget
+# fuzz-smoke gives each scenario/campaign/journal/solver/MME fuzzer a short budget
 # — the CI regression net; long exploratory runs raise -fuzztime
 # locally. Journal recovery fsyncs its compacted file on every exec, so
 # its per-input minimization is capped or it would eat the budget.
@@ -48,3 +55,4 @@ fuzz-smoke:
 	go test ./internal/campaign -run=XXX -fuzz=FuzzCampaignExpand -fuzztime=15s
 	go test ./internal/serve -run=XXX -fuzz=FuzzJournalOpen -fuzztime=15s -fuzzminimizetime=100x
 	go test ./internal/model -run=XXX -fuzz=FuzzSolveLoaded -fuzztime=15s
+	go test ./internal/hpav -run=XXX -fuzz=FuzzMMEDecode -fuzztime=15s

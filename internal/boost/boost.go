@@ -13,7 +13,7 @@
 //
 // Model scoring runs through the compiled scenario path: a single
 // candidate lowers to a model-engine scenario.Spec (ScoreModel), and
-// the whole space lowers to a campaign (SearchCampaign) — a
+// the whole space lowers to a campaign (searchCampaign) — a
 // model-engine base scenario swept over cw/dc/n axes — so the search
 // grid is the same object the serving daemon's /v1/campaigns endpoint
 // runs, and "run many related scenarios" is one code path everywhere.
@@ -203,28 +203,15 @@ func ScoreModel(p config.Params, ns []int) (Candidate, error) {
 	return c, nil
 }
 
-// SearchCampaign lowers the whole candidate space onto the campaign
-// layer: a model-engine base scenario swept over three axes —
+// searchCampaign lowers the enumerated candidate list onto the
+// campaign layer: a model-engine base scenario swept over three axes —
 // stations[0].cw (one vector per CW0×growth pair), stations[0].dc (the
 // deferral schedules) and n (the evaluation station counts) — in the
-// exact row-major order Enumerate materializes candidates. Running many
-// related scenarios is one code path: the grid a Search evaluates is
-// the same campaign a `POST /v1/campaigns` submission of this spec
-// runs, point for point and fingerprint for fingerprint.
-func SearchCampaign(space Space, ns []int) (campaign.Spec, error) {
-	if len(ns) == 0 {
-		return campaign.Spec{}, fmt.Errorf("boost: no station counts to evaluate")
-	}
-	params, err := space.Enumerate()
-	if err != nil {
-		return campaign.Spec{}, err
-	}
-	return searchCampaign(space, params, ns)
-}
-
-// searchCampaign builds the campaign from an already-enumerated
-// candidate list, so Search and SearchCampaign share one enumeration
-// and one ordering (the point-index math in Search depends on it).
+// exact row-major order Enumerate materializes candidates (the
+// point-index math in Search depends on it). Running many related
+// scenarios is one code path: the grid a Search evaluates is the same
+// campaign a `POST /v1/campaigns` submission of this spec runs, point
+// for point and fingerprint for fingerprint.
 func searchCampaign(space Space, params []config.Params, ns []int) (campaign.Spec, error) {
 	rawInts := func(vs []int) json.RawMessage {
 		data, err := json.Marshal(vs)
@@ -273,7 +260,7 @@ func searchCampaign(space Space, params []config.Params, ns []int) (campaign.Spe
 // Search scores the whole space with the model and returns candidates
 // sorted by descending score. ns must be non-empty.
 //
-// The sweep runs as a campaign (SearchCampaign) over the process-wide
+// The sweep runs as a campaign (searchCampaign) over the process-wide
 // par width: one grid point per (candidate, N) pair, answered through
 // the same compiled scenario path the serving daemon uses.
 func Search(space Space, ns []int) ([]Candidate, error) {

@@ -270,16 +270,16 @@ func TestSearchMatchesScoreModel(t *testing.T) {
 func TestSearchCampaignShape(t *testing.T) {
 	space := DefaultSpace()
 	ns := []int{2, 10}
-	spec, err := SearchCampaign(space, ns)
+	params, err := space.Enumerate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := searchCampaign(space, params, ns)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := spec.Validate(); err != nil {
 		t.Fatalf("emitted campaign does not validate: %v", err)
-	}
-	params, err := space.Enumerate()
-	if err != nil {
-		t.Fatal(err)
 	}
 	wantCW := len(params) / len(space.DCSchedules)
 	if len(spec.Axes) != 3 ||

@@ -127,21 +127,6 @@ func (p Params) Stage(bpc int) int {
 	return bpc
 }
 
-// WindowAt returns CW for the stage addressed by the given BPC value.
-func (p Params) WindowAt(bpc int) int { return p.CW[p.Stage(bpc)] }
-
-// DeferralAt returns d_i for the stage addressed by the given BPC value.
-func (p Params) DeferralAt(bpc int) int { return p.DC[p.Stage(bpc)] }
-
-// Clone returns a deep copy, so that search code can mutate candidates
-// without aliasing the originals.
-func (p Params) Clone() Params {
-	q := Params{Name: p.Name, CW: make([]int, len(p.CW)), DC: make([]int, len(p.DC))}
-	copy(q.CW, p.CW)
-	copy(q.DC, p.DC)
-	return q
-}
-
 // Equal reports whether two configurations have identical vectors
 // (names are ignored: they are labels, not behaviour).
 func (p Params) Equal(q Params) bool {
@@ -221,17 +206,6 @@ type DCF struct {
 	CWmin int
 	// CWmax caps the doubling (1024 in the standards).
 	CWmax int
-}
-
-// Validate checks CWmin/CWmax sanity.
-func (d DCF) Validate() error {
-	if d.CWmin < 1 {
-		return fmt.Errorf("config: DCF CWmin=%d must be ≥ 1", d.CWmin)
-	}
-	if d.CWmax < d.CWmin {
-		return fmt.Errorf("config: DCF CWmax=%d < CWmin=%d", d.CWmax, d.CWmin)
-	}
-	return nil
 }
 
 // Window returns the contention window at backoff stage i (CWmin·2^i,

@@ -126,24 +126,11 @@ func TestParamsStageClamping(t *testing.T) {
 		}
 	}
 	// Table 1: BPC ≥ 3 keeps CW = 64, d = 15 for CA1.
-	if got := p.WindowAt(10); got != 64 {
-		t.Errorf("WindowAt(10) = %d, want 64", got)
+	if got := p.CW[p.Stage(10)]; got != 64 {
+		t.Errorf("CW at BPC 10 = %d, want 64", got)
 	}
-	if got := p.DeferralAt(10); got != 15 {
-		t.Errorf("DeferralAt(10) = %d, want 15", got)
-	}
-}
-
-func TestParamsCloneIsDeep(t *testing.T) {
-	p := DefaultCA1()
-	q := p.Clone()
-	q.CW[0] = 999
-	q.DC[0] = 999
-	if p.CW[0] == 999 || p.DC[0] == 999 {
-		t.Error("Clone shares backing arrays with the original")
-	}
-	if !p.Equal(DefaultCA1()) {
-		t.Error("original mutated by clone edit")
+	if got := p.DC[p.Stage(10)]; got != 15 {
+		t.Errorf("d at BPC 10 = %d, want 15", got)
 	}
 }
 
@@ -154,12 +141,12 @@ func TestParamsEqual(t *testing.T) {
 	if !a.Equal(b) {
 		t.Error("Equal must ignore names")
 	}
-	c := b.Clone()
+	c := DefaultCA1()
 	c.CW[3] = 128
 	if a.Equal(c) {
 		t.Error("Equal missed a CW difference")
 	}
-	d := b.Clone()
+	d := DefaultCA1()
 	d.DC[2] = 4
 	if a.Equal(d) {
 		t.Error("Equal missed a DC difference")
@@ -188,18 +175,6 @@ func TestDCFWindowDoubling(t *testing.T) {
 	}
 	if got := d.Stages(); got != 7 {
 		t.Errorf("Stages() = %d, want 7 (16·2^6 = 1024)", got)
-	}
-}
-
-func TestDCFValidate(t *testing.T) {
-	if err := Default80211().Validate(); err != nil {
-		t.Errorf("default DCF invalid: %v", err)
-	}
-	if err := (DCF{CWmin: 0, CWmax: 16}).Validate(); err == nil {
-		t.Error("CWmin=0 accepted")
-	}
-	if err := (DCF{CWmin: 32, CWmax: 16}).Validate(); err == nil {
-		t.Error("CWmax < CWmin accepted")
 	}
 }
 

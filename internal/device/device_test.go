@@ -24,7 +24,7 @@ var (
 // destination device).
 func buildPair(seed uint64) (*mac.Network, []*Device, *Device) {
 	root := rng.New(seed)
-	nw := mac.NewNetwork()
+	nw := mac.NewNetworkCfg(mac.Config{})
 	dst := mac.NewStation("D", 1, dstAddr, root.Split(0))
 	nw.Attach(dst)
 	var devs []*Device

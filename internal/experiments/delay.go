@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/model"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/testbed"
 )
@@ -133,12 +134,12 @@ func ModelAccuracy(ns []int, simTime float64, seed uint64) (*Table, error) {
 		Header: []string{"N", "simulator p", "model γ", "error", "model thr − sim thr"},
 	}
 	type point struct {
-		sim  simResult
+		sim  sim.Result
 		pred float64
 		thr  float64
 	}
 	points, err := sweep(ns, func(_ int, n int) (point, error) {
-		ev, err := simPoint(n, simTime, seed)
+		ev, err := simRun(n, config.DefaultCA1(), simTime, seed, nil)
 		if err != nil {
 			return point{}, err
 		}
@@ -157,8 +158,8 @@ func ModelAccuracy(ns []int, simTime float64, seed uint64) (*Table, error) {
 	prevErr := 1.0
 	for i, n := range ns {
 		p := points[i]
-		e := p.pred - p.sim.collision
-		t.AddRow(fmt.Sprint(n), f(p.sim.collision), f(p.pred), f(e), f(p.thr-p.sim.throughput))
+		e := p.pred - p.sim.CollisionProbability
+		t.AddRow(fmt.Sprint(n), f(p.sim.CollisionProbability), f(p.pred), f(e), f(p.thr-p.sim.NormalizedThroughput))
 		if n > 1 && e > prevErr+0.005 {
 			return nil, fmt.Errorf("experiments: model error grew with N (%v → %v at N=%d)", prevErr, e, n)
 		}

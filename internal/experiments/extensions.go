@@ -30,11 +30,7 @@ func ThroughputVsN(ns []int, simTime float64, seed uint64) (*Table, error) {
 	points, err := sweep(ns, func(_ int, n int) ([4]float64, error) {
 		var thr [4]float64
 		for k, params := range protocols {
-			in := sim.DefaultInputs(n)
-			in.SimTime = simTime
-			in.Seed = seed
-			in.Params = params
-			e, err := sim.NewEngine(in)
+			r, err := simRun(n, params, simTime, seed, nil)
 			if err != nil {
 				return thr, err
 			}
@@ -42,7 +38,7 @@ func ThroughputVsN(ns []int, simTime float64, seed uint64) (*Table, error) {
 			if err != nil {
 				return thr, err
 			}
-			thr[2*k], thr[2*k+1] = e.Run().NormalizedThroughput, met.NormalizedThroughput
+			thr[2*k], thr[2*k+1] = r.NormalizedThroughput, met.NormalizedThroughput
 		}
 		return thr, nil
 	})
@@ -149,17 +145,10 @@ func ShortTermFairness(n int, windows []int, simTime float64, seed uint64) (*Tab
 	}
 	// The two protocol traces are independent simulations: fan them out.
 	traces, err := sweep([]config.Params{config.DefaultCA1(), config.Default80211().Params()}, func(_ int, params config.Params) ([]int, error) {
-		in := sim.DefaultInputs(n)
-		in.SimTime = simTime
-		in.Seed = seed
-		in.Params = params
-		e, err := sim.NewEngine(in)
-		if err != nil {
+		rec := &winnerTrace{}
+		if _, err := simRun(n, params, simTime, seed, rec); err != nil {
 			return nil, err
 		}
-		rec := &winnerTrace{}
-		e.SetObserver(rec)
-		e.Run()
 		return rec.winners, nil
 	})
 	if err != nil {
@@ -216,27 +205,16 @@ func AblationDeferral(ns []int, simTime float64, seed uint64) (*Table, error) {
 	}
 	type point struct{ pw, tw, pn, tn float64 }
 	points, err := sweep(ns, func(_ int, n int) (point, error) {
-		run := func(p config.Params) (float64, float64, error) {
-			in := sim.DefaultInputs(n)
-			in.SimTime = simTime
-			in.Seed = seed
-			in.Params = p
-			e, err := sim.NewEngine(in)
-			if err != nil {
-				return 0, 0, err
-			}
-			r := e.Run()
-			return r.CollisionProbability, r.NormalizedThroughput, nil
-		}
-		pw, tw, err := run(config.DefaultCA1())
+		with, err := simRun(n, config.DefaultCA1(), simTime, seed, nil)
 		if err != nil {
 			return point{}, err
 		}
-		pn, tn, err := run(noDC)
+		without, err := simRun(n, noDC, simTime, seed, nil)
 		if err != nil {
 			return point{}, err
 		}
-		return point{pw, tw, pn, tn}, nil
+		return point{with.CollisionProbability, with.NormalizedThroughput,
+			without.CollisionProbability, without.NormalizedThroughput}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -294,14 +272,11 @@ func SimulatorAgreement(ns []int, simTime float64, seed uint64) (*Table, error) 
 	}
 	type point struct{ simP, macP float64 }
 	points, err := sweep(ns, func(_ int, n int) (point, error) {
-		in := sim.DefaultInputs(n)
-		in.SimTime = simTime
-		in.Seed = seed
-		e, err := sim.NewEngine(in)
+		r, err := simRun(n, config.DefaultCA1(), simTime, seed, nil)
 		if err != nil {
 			return point{}, err
 		}
-		simP := e.Run().CollisionProbability
+		simP := r.CollisionProbability
 
 		tb, err := testbed.New(testbed.Options{N: n, BurstMPDUs: 1, Seed: seed})
 		if err != nil {

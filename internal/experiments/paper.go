@@ -42,18 +42,6 @@ func Figure1(seed uint64, transmissions int) (*Table, error) {
 	if transmissions < 1 {
 		return nil, fmt.Errorf("experiments: Figure1 needs ≥ 1 transmissions")
 	}
-	// A 2-station run produces a transmission roughly every 3 ms; give
-	// the engine 5 ms of simulated time per requested transmission so
-	// the observer (which stops recording at the target) always fills
-	// its quota, without running a needlessly long simulation.
-	in := sim.DefaultInputs(2)
-	in.Seed = seed
-	in.SimTime = float64(transmissions) * 5000
-	e, err := sim.NewEngine(in)
-	if err != nil {
-		return nil, err
-	}
-
 	t := &Table{
 		ID:     "fig1",
 		Title:  "Time evolution of the 1901 backoff process with 2 saturated stations",
@@ -63,7 +51,7 @@ func Figure1(seed uint64, transmissions int) (*Table, error) {
 
 	count := 0
 	event := 0
-	e.SetObserver(obsFunc(func(ts float64, kind sim.SlotKind, txs []int, snaps []backoff.Snapshot) {
+	obs := obsFunc(func(ts float64, kind sim.SlotKind, txs []int, snaps []backoff.Snapshot) {
 		if count >= transmissions {
 			return
 		}
@@ -87,8 +75,14 @@ func Figure1(seed uint64, transmissions int) (*Table, error) {
 			fmt.Sprint(snaps[1].CW), fmt.Sprint(snaps[1].DC), fmt.Sprint(snaps[1].BC),
 			outcome,
 		)
-	}))
-	e.Run()
+	})
+	// A 2-station run produces a transmission roughly every 3 ms; give
+	// the engine 5 ms of simulated time per requested transmission so
+	// the observer (which stops recording at the target) always fills
+	// its quota, without running a needlessly long simulation.
+	if _, err := simRun(2, config.DefaultCA1(), float64(transmissions)*5000, seed, obs); err != nil {
+		return nil, err
+	}
 	if count < transmissions {
 		return nil, fmt.Errorf("experiments: Figure1 recorded %d of %d transmissions", count, transmissions)
 	}
@@ -103,24 +97,22 @@ func (f obsFunc) OnSlot(t float64, kind sim.SlotKind, txs []int, snaps []backoff
 	f(t, kind, txs, snaps)
 }
 
-// simResult is a (collision probability, throughput) pair from one
-// minimal-simulator run, shared by several experiments.
-type simResult struct {
-	collision  float64
-	throughput float64
-}
-
-// simPoint runs the minimal simulator once with CA1 defaults.
-func simPoint(n int, simTime float64, seed uint64) (simResult, error) {
+// simRun runs the minimal simulator once: n saturated stations on
+// params for simTime µs from seed, with obs (when non-nil) watching
+// every medium event.
+func simRun(n int, params config.Params, simTime float64, seed uint64, obs sim.Observer) (sim.Result, error) {
 	in := sim.DefaultInputs(n)
 	in.SimTime = simTime
 	in.Seed = seed
+	in.Params = params
 	e, err := sim.NewEngine(in)
 	if err != nil {
-		return simResult{}, err
+		return sim.Result{}, err
 	}
-	r := e.Run()
-	return simResult{collision: r.CollisionProbability, throughput: r.NormalizedThroughput}, nil
+	if obs != nil {
+		e.SetObserver(obs)
+	}
+	return e.Run(), nil
 }
 
 // Table2Config parameterizes the Table 2 reproduction.
@@ -218,14 +210,11 @@ func Figure2(cfg Figure2Config) ([]Figure2Point, *Table, error) {
 		Header: []string{"N", "MAC simulation", "Analysis", "HomePlug AV measurements", "± 95% CI"},
 	}
 	points, err := sweep(cfg.Ns, func(_ int, n int) (Figure2Point, error) {
-		in := sim.DefaultInputs(n)
-		in.SimTime = cfg.SimTimeMicros
-		in.Seed = cfg.Seed
-		eng, err := sim.NewEngine(in)
+		r, err := simRun(n, config.DefaultCA1(), cfg.SimTimeMicros, cfg.Seed, nil)
 		if err != nil {
 			return Figure2Point{}, err
 		}
-		simP := eng.Run().CollisionProbability
+		simP := r.CollisionProbability
 
 		pred, err := model.Solve(n, config.DefaultCA1(), model.Options{})
 		if err != nil {

@@ -11,11 +11,8 @@ import "repro/internal/par"
 // count — parallelism only changes wall-clock time.
 func SetWorkers(n int) { par.SetDefaultWorkers(n) }
 
-// Workers returns the current fan-out width.
-func Workers() int { return par.DefaultWorkers() }
-
-// sweep maps fn over the experiment's independent points on Workers()
-// goroutines, returning the per-point results in input order.
+// sweep maps fn over the experiment's independent points on the
+// SetWorkers width, returning the per-point results in input order.
 func sweep[T, R any](items []T, fn func(i int, item T) (R, error)) ([]R, error) {
 	return par.MapDefault(items, fn)
 }

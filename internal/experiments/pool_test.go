@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"repro/internal/par"
 )
 
 // withWorkers runs fn under the given fan-out width and restores the
@@ -99,11 +101,11 @@ func TestParallelBoostBitIdentical(t *testing.T) {
 func TestSetWorkersDefaultsToGOMAXPROCS(t *testing.T) {
 	defer SetWorkers(1)
 	SetWorkers(0)
-	if Workers() < 1 {
-		t.Errorf("Workers() = %d after SetWorkers(0)", Workers())
+	if got := par.DefaultWorkers(); got < 1 {
+		t.Errorf("par.DefaultWorkers() = %d after SetWorkers(0)", got)
 	}
 	SetWorkers(3)
-	if Workers() != 3 {
-		t.Errorf("Workers() = %d, want 3", Workers())
+	if got := par.DefaultWorkers(); got != 3 {
+		t.Errorf("par.DefaultWorkers() = %d, want 3", got)
 	}
 }

@@ -41,21 +41,6 @@ func JainIndexInts(counts []int) float64 {
 	return JainIndex(shares)
 }
 
-// CountBySource reduces a source trace (one entry per successful burst,
-// in time order) to per-source totals over the given station universe.
-// Sources outside the universe are counted too: the universe only
-// guarantees that silent stations appear with a zero count.
-func CountBySource[S comparable](trace []S, universe []S) map[S]int {
-	counts := make(map[S]int, len(universe))
-	for _, s := range universe {
-		counts[s] = 0
-	}
-	for _, s := range trace {
-		counts[s]++
-	}
-	return counts
-}
-
 // ShortTermResult is the sliding-window fairness summary.
 type ShortTermResult struct {
 	// WindowSize is the number of consecutive transmissions per window.
@@ -123,52 +108,6 @@ func ShortTermJain[S comparable](trace []S, universe []S, window int) (ShortTerm
 	}
 	res.MeanJain = total / float64(res.Windows)
 	return res, nil
-}
-
-// InterTxGaps returns, for each station in the universe, the gaps (in
-// number of other-station transmissions) between its consecutive wins.
-// Long tails here are the burstiness signature of short-term
-// unfairness: a station that loses the channel waits many transmissions
-// before winning again because it sits at a high backoff stage.
-func InterTxGaps[S comparable](trace []S, universe []S) map[S][]int {
-	gaps := make(map[S][]int, len(universe))
-	last := make(map[S]int, len(universe))
-	for _, s := range universe {
-		gaps[s] = nil
-		last[s] = -1
-	}
-	for t, s := range trace {
-		if prev, ok := last[s]; ok {
-			if prev >= 0 {
-				gaps[s] = append(gaps[s], t-prev-1)
-			}
-			last[s] = t
-		}
-	}
-	return gaps
-}
-
-// MeanGap returns the average of the given gaps, or 0 for none.
-func MeanGap(gaps []int) float64 {
-	if len(gaps) == 0 {
-		return 0
-	}
-	var sum int
-	for _, g := range gaps {
-		sum += g
-	}
-	return float64(sum) / float64(len(gaps))
-}
-
-// MaxGap returns the largest gap, or 0 for none.
-func MaxGap(gaps []int) int {
-	max := 0
-	for _, g := range gaps {
-		if g > max {
-			max = g
-		}
-	}
-	return max
 }
 
 // ConsecutiveWins returns the distribution of run lengths in the trace:

@@ -35,17 +35,6 @@ func TestJainIndexInts(t *testing.T) {
 	}
 }
 
-func TestCountBySource(t *testing.T) {
-	trace := []int{1, 2, 1, 1, 3}
-	counts := CountBySource(trace, []int{1, 2, 3, 4})
-	want := map[int]int{1: 3, 2: 1, 3: 1, 4: 0}
-	for k, v := range want {
-		if counts[k] != v {
-			t.Errorf("counts[%d] = %d, want %d", k, counts[k], v)
-		}
-	}
-}
-
 func TestShortTermJainValidation(t *testing.T) {
 	if _, err := ShortTermJain([]int{1, 2}, []int{1, 2}, 0); err == nil {
 		t.Error("window 0 accepted")
@@ -126,33 +115,6 @@ func TestShortTermIgnoresOutsiders(t *testing.T) {
 	}
 }
 
-func TestInterTxGaps(t *testing.T) {
-	trace := []string{"a", "b", "b", "a", "c", "a"}
-	gaps := InterTxGaps(trace, []string{"a", "b", "c"})
-	// a at 0,3,5 → gaps 2, 1. b at 1,2 → gap 0. c single → none.
-	if len(gaps["a"]) != 2 || gaps["a"][0] != 2 || gaps["a"][1] != 1 {
-		t.Errorf(`gaps["a"] = %v, want [2 1]`, gaps["a"])
-	}
-	if len(gaps["b"]) != 1 || gaps["b"][0] != 0 {
-		t.Errorf(`gaps["b"] = %v, want [0]`, gaps["b"])
-	}
-	if len(gaps["c"]) != 0 {
-		t.Errorf(`gaps["c"] = %v, want empty`, gaps["c"])
-	}
-}
-
-func TestGapHelpers(t *testing.T) {
-	if MeanGap(nil) != 0 || MaxGap(nil) != 0 {
-		t.Error("empty gaps should be 0")
-	}
-	if got := MeanGap([]int{1, 2, 3}); math.Abs(got-2) > 1e-12 {
-		t.Errorf("MeanGap = %v", got)
-	}
-	if got := MaxGap([]int{1, 7, 3}); got != 7 {
-		t.Errorf("MaxGap = %v", got)
-	}
-}
-
 func TestConsecutiveWins(t *testing.T) {
 	runs := ConsecutiveWins([]int{1, 1, 2, 1, 1, 1, 2, 2})
 	// Runs: 1×2, 2×1, 1×3, 2×2 → lengths {2:2, 1:1, 3:1}.
@@ -210,8 +172,11 @@ func TestShortTermDegeneratesToLongTermProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		counts := CountBySource(trace, universe)
-		long := JainIndexInts([]int{counts[0], counts[1], counts[2]})
+		counts := make([]int, len(universe))
+		for _, s := range trace {
+			counts[s]++
+		}
+		long := JainIndexInts(counts)
 		return res.Windows == 1 && math.Abs(res.MeanJain-long) < 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -89,16 +89,6 @@ const (
 	MMTypeSnifferInd MMType = 0xA036
 )
 
-// Direction returns the two low bits (0 REQ, 1 CNF, 2 IND, 3 RSP).
-func (t MMType) Direction() int { return int(t & 0x3) }
-
-// Base returns the MMType with the direction bits cleared, identifying
-// the message family.
-func (t MMType) Base() MMType { return t &^ 0x3 }
-
-// IsVendor reports whether the type sits in the vendor-specific range.
-func (t MMType) IsVendor() bool { return t >= 0xA000 && t < 0xC000 }
-
 // String names the known types and hex-dumps the rest.
 func (t MMType) String() string {
 	switch t {

@@ -4,52 +4,22 @@ import (
 	"fmt"
 
 	"repro/internal/config"
-	"repro/internal/phy"
 )
 
-// MPDU is a MAC protocol data unit: one SoF delimiter plus the payload
-// carried as 512-byte physical blocks. Bursts of up to four MPDUs
-// contend for the medium as a unit (Section 3.1): the SoF's MPDUCnt
-// field counts the MPDUs remaining after the current one.
+// MPDU is a MAC protocol data unit as the sniffer sees it: its SoF
+// delimiter, whose PBCount gives the 512-byte physical blocks it
+// carries. Bursts of up to four MPDUs contend for the medium as a unit
+// (Section 3.1): the SoF's MPDUCnt field counts the MPDUs remaining
+// after the current one.
 type MPDU struct {
 	SoF SoF
-	// Payload is the aggregated MAC frame stream (before PB padding).
-	Payload []byte
 }
-
-// PBs returns the number of physical blocks the payload occupies.
-func (m *MPDU) PBs() int { return phy.PBCount(len(m.Payload)) }
 
 // Burst is an ordered group of MPDUs transmitted back-to-back after a
 // single successful contention. All MPDUs of a burst share a BurstID
 // and count MPDUCnt down to zero.
 type Burst struct {
 	MPDUs []MPDU
-}
-
-// Validate checks the burst invariants the sniffer-side analysis relies
-// on: 1 ≤ size ≤ 4, a countdown MPDUCnt sequence, a shared BurstID and
-// a shared source.
-func (b *Burst) Validate() error {
-	n := len(b.MPDUs)
-	if n < 1 || n > MaxBurstMPDUs {
-		return fmt.Errorf("hpav: burst of %d MPDUs (must be 1–%d)", n, MaxBurstMPDUs)
-	}
-	id := b.MPDUs[0].SoF.BurstID
-	src := b.MPDUs[0].SoF.STEI
-	for i := range b.MPDUs {
-		s := &b.MPDUs[i].SoF
-		if want := uint8(n - 1 - i); s.MPDUCnt != want {
-			return fmt.Errorf("hpav: burst MPDU %d has MPDUCnt %d, want %d", i, s.MPDUCnt, want)
-		}
-		if s.BurstID != id {
-			return fmt.Errorf("hpav: burst MPDU %d has BurstID %d, want %d", i, s.BurstID, id)
-		}
-		if s.STEI != src {
-			return fmt.Errorf("hpav: burst MPDU %d has source %d, want %d", i, s.STEI, src)
-		}
-	}
-	return nil
 }
 
 // NewBurst assembles a burst of n MPDUs from src to dst at the given

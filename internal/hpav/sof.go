@@ -138,60 +138,3 @@ func UnmarshalSoF(b []byte) (*SoF, error) {
 	}
 	return s, nil
 }
-
-// SACK is the selective-acknowledgment delimiter. Per Section 3.2, the
-// destination acknowledges even collided frames when it could decode
-// the (robustly modulated) preamble, marking every physical block as
-// errored; AllErrored carries that indication.
-type SACK struct {
-	// STEI/DTEI identify the acknowledging and acknowledged stations.
-	STEI, DTEI TEI
-	// ReceivedPBs is the number of physical blocks received intact.
-	ReceivedPBs uint16
-	// TotalPBs is the number of physical blocks in the acked MPDU.
-	TotalPBs uint16
-	// AllErrored indicates that every block failed — the collision
-	// signature that still increments the transmitter's Acked counter.
-	AllErrored bool
-}
-
-// sackLen: type(1) + stei(1) + dtei(1) + received(2) + total(2) + flags(1).
-const sackLen = 8
-
-// Marshal encodes the delimiter.
-func (s *SACK) Marshal() []byte {
-	b := make([]byte, sackLen)
-	b[0] = byte(DelimiterSACK)
-	b[1] = byte(s.STEI)
-	b[2] = byte(s.DTEI)
-	binary.LittleEndian.PutUint16(b[3:5], s.ReceivedPBs)
-	binary.LittleEndian.PutUint16(b[5:7], s.TotalPBs)
-	if s.AllErrored {
-		b[7] = 1
-	}
-	return b
-}
-
-// UnmarshalSACK decodes and validates a SACK delimiter.
-func UnmarshalSACK(b []byte) (*SACK, error) {
-	if len(b) < sackLen {
-		return nil, fmt.Errorf("%w: SACK %d bytes, need %d", ErrShortFrame, len(b), sackLen)
-	}
-	if DelimiterType(b[0]) != DelimiterSACK {
-		return nil, fmt.Errorf("%w: delimiter type %d is not SACK", ErrPayload, b[0])
-	}
-	s := &SACK{
-		STEI:        TEI(b[1]),
-		DTEI:        TEI(b[2]),
-		ReceivedPBs: binary.LittleEndian.Uint16(b[3:5]),
-		TotalPBs:    binary.LittleEndian.Uint16(b[5:7]),
-		AllErrored:  b[7]&1 != 0,
-	}
-	if s.ReceivedPBs > s.TotalPBs {
-		return nil, fmt.Errorf("%w: SACK received %d > total %d", ErrPayload, s.ReceivedPBs, s.TotalPBs)
-	}
-	if s.AllErrored && s.ReceivedPBs != 0 {
-		return nil, fmt.Errorf("%w: SACK all-errored with %d received blocks", ErrPayload, s.ReceivedPBs)
-	}
-	return s, nil
-}

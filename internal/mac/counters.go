@@ -16,7 +16,9 @@
 //     firmware-style per-link counters;
 //   - management-message traffic at CA2/CA3 whose overhead the sniffer
 //     methodology of Section 3.3 measures;
-//   - pluggable PB error models for the failure-injection experiments.
+//   - per-station channel errors that lose a lone burst whole
+//     (Station.SetFrameError), the failure-injection experiments' one
+//     channel-error mechanism.
 //
 // The per-station backoff process itself is the exact same
 // internal/backoff machine the minimal simulator runs, which is what
@@ -102,13 +104,6 @@ func (c *Counters) Reset(k LinkKey) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.m, k)
-}
-
-// ResetAll clears every bucket.
-func (c *Counters) ResetAll() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m = make(map[LinkKey]*LinkCounters)
 }
 
 // Keys returns the populated link keys in a deterministic order, for

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/hpav"
-	"repro/internal/phy"
 	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/timing"
@@ -15,16 +14,15 @@ import (
 )
 
 func TestBeaconsConsumeAirtime(t *testing.T) {
-	nw, _, _ := buildSaturated(2, 2, 51)
-	nw.EnableBeacons(33_330) // 60 Hz AC: beacon every 33.33 ms
-	nw.Run(1e7)              // 10 s → ≈300 beacons
+	beacons60Hz := Config{BeaconPeriodMicros: 33_330} // 60 Hz AC: beacon every 33.33 ms
+	nw, _, _ := buildSaturatedCfg(beacons60Hz, 2, 2, 51)
+	nw.Run(1e7) // 10 s → ≈300 beacons
 	st := nw.Stats()
 	if st.Beacons < 250 || st.Beacons > 310 {
 		t.Errorf("%d beacons in 10 s at 33.33 ms period", st.Beacons)
 	}
 	// Beacons must appear in the observer stream too.
-	nw2, _, _ := buildSaturated(2, 2, 51)
-	nw2.EnableBeacons(33_330)
+	nw2, _, _ := buildSaturatedCfg(beacons60Hz, 2, 2, 51)
 	beacons := 0
 	nw2.Observe(ObserverFunc(func(ev Event) {
 		if ev.Kind == EventBeacon {
@@ -42,10 +40,11 @@ func TestBeaconsConsumeAirtime(t *testing.T) {
 
 func TestBeaconsReduceThroughputSlightly(t *testing.T) {
 	thr := func(beacons bool) float64 {
-		nw, _, _ := buildSaturated(2, 2, 53)
+		var cfg Config
 		if beacons {
-			nw.EnableBeacons(33_330)
+			cfg.BeaconPeriodMicros = 33_330
 		}
+		nw, _, _ := buildSaturatedCfg(cfg, 2, 2, 53)
 		nw.Run(2e7)
 		st := nw.Stats()
 		return st.PayloadMicros / st.Elapsed
@@ -61,9 +60,7 @@ func TestBeaconsReduceThroughputSlightly(t *testing.T) {
 }
 
 func TestBeaconsDisable(t *testing.T) {
-	nw, _, _ := buildSaturated(1, 1, 57)
-	nw.EnableBeacons(10_000)
-	nw.EnableBeacons(0) // disable again
+	nw, _, _ := buildSaturatedCfg(Config{BeaconPeriodMicros: -10_000}, 1, 1, 57)
 	nw.Run(1e6)
 	if nw.Stats().Beacons != 0 {
 		t.Error("disabled beacons still fired")
@@ -71,8 +68,7 @@ func TestBeaconsDisable(t *testing.T) {
 }
 
 func TestAccessDelayRecording(t *testing.T) {
-	nw, _, _ := buildSaturated(3, 2, 59)
-	nw.RecordDelays(true)
+	nw, _, _ := buildSaturatedCfg(Config{RecordDelays: true}, 3, 2, 59)
 	nw.Run(1e7)
 	st := nw.Stats()
 	if int64(len(st.AccessDelays)) != st.Successes {
@@ -97,8 +93,7 @@ func TestAccessDelayRecording(t *testing.T) {
 
 func TestAccessDelayGrowsWithN(t *testing.T) {
 	mean := func(n int) float64 {
-		nw, _, _ := buildSaturated(n, 2, 61)
-		nw.RecordDelays(true)
+		nw, _, _ := buildSaturatedCfg(Config{RecordDelays: true}, n, 2, 61)
 		nw.Run(1e7)
 		return stats.Mean(nw.Stats().AccessDelays)
 	}
@@ -116,19 +111,29 @@ func TestDelaysOffByDefault(t *testing.T) {
 	}
 }
 
+// TestDeliveredPBAccounting: every MPDU carries PBsPerMPDU blocks, so
+// the PB counters are the MPDU counters scaled — delivered bursts count
+// toward DeliveredPBs, bursts lost to channel errors toward ErroredPBs.
 func TestDeliveredPBAccounting(t *testing.T) {
-	nw, _, _ := buildSaturated(1, 2, 67)
-	nw.SetErrorModel(phy.NewBernoulli(0.25, rng.New(5)))
+	nw, stations, _ := buildSaturated(2, 2, 67)
+	root := rng.New(5)
+	for i, s := range stations {
+		s.SetFrameError(0.25, root.Split(uint64(i)))
+	}
 	nw.Run(1e7)
 	st := nw.Stats()
-	total := st.DeliveredPBs + st.ErroredPBs
-	if total != st.SuccessMPDUs*4 {
-		t.Errorf("delivered %d + errored %d ≠ transmitted PBs %d",
-			st.DeliveredPBs, st.ErroredPBs, st.SuccessMPDUs*4)
+	if st.FrameErrors == 0 || st.Successes == 0 {
+		t.Fatalf("degenerate run: %d frame errors, %d successes", st.FrameErrors, st.Successes)
 	}
-	rate := float64(st.ErroredPBs) / float64(total)
+	if st.DeliveredPBs != st.SuccessMPDUs*4 {
+		t.Errorf("DeliveredPBs %d, want SuccessMPDUs·4 = %d", st.DeliveredPBs, st.SuccessMPDUs*4)
+	}
+	if st.ErroredPBs != st.FrameErrorMPDUs*4 {
+		t.Errorf("ErroredPBs %d, want FrameErrorMPDUs·4 = %d", st.ErroredPBs, st.FrameErrorMPDUs*4)
+	}
+	rate := float64(st.FrameErrors) / float64(st.FrameErrors+st.Successes)
 	if math.Abs(rate-0.25) > 0.03 {
-		t.Errorf("PB error rate %v, want ≈0.25", rate)
+		t.Errorf("burst error rate %v among lone transmissions, want ≈0.25", rate)
 	}
 }
 
@@ -138,8 +143,7 @@ func TestDeliveredPBAccounting(t *testing.T) {
 func TestUnsaturatedDelayBelowSaturated(t *testing.T) {
 	root := rng.New(71)
 	build := func(mean float64) *Network {
-		nw := NewNetwork()
-		nw.RecordDelays(true)
+		nw := NewNetworkCfg(Config{RecordDelays: true})
 		dst := NewStation("D", 100, addr(100), root.Split(999))
 		nw.Attach(dst)
 		for i := 0; i < 3; i++ {
@@ -171,8 +175,7 @@ func TestUnsaturatedDelayBelowSaturated(t *testing.T) {
 // (p95 well above the median) — the short-term unfairness shows up as a
 // delay tail.
 func TestDelayDistributionTail(t *testing.T) {
-	nw, _, _ := buildSaturated(5, 2, 73)
-	nw.RecordDelays(true)
+	nw, _, _ := buildSaturatedCfg(Config{RecordDelays: true}, 5, 2, 73)
 	nw.Run(2e7)
 	ds := nw.Stats().AccessDelays
 	sort.Float64s(ds)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/hpav"
-	"repro/internal/phy"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/timing"
@@ -21,8 +20,13 @@ func addr(i int) hpav.MAC {
 // stations all transmitting to destination D (TEI 100), bursts of k
 // MPDUs with the default 2050 µs frames.
 func buildSaturated(n, k int, seed uint64) (*Network, []*Station, *Station) {
+	return buildSaturatedCfg(Config{}, n, k, seed)
+}
+
+// buildSaturatedCfg is buildSaturated on a network configured by cfg.
+func buildSaturatedCfg(cfg Config, n, k int, seed uint64) (*Network, []*Station, *Station) {
 	root := rng.New(seed)
-	nw := NewNetwork()
+	nw := NewNetworkCfg(cfg)
 	dst := NewStation("D", 100, addr(100), root.Split(1000))
 	nw.Attach(dst)
 	stations := make([]*Station, n)
@@ -42,7 +46,7 @@ func buildSaturated(n, k int, seed uint64) (*Network, []*Station, *Station) {
 }
 
 func TestAttachRejectsDuplicates(t *testing.T) {
-	nw := NewNetwork()
+	nw := NewNetworkCfg(Config{})
 	s := NewStation("a", 1, addr(1), rng.New(1))
 	nw.Attach(s)
 	for _, dup := range []*Station{
@@ -189,7 +193,7 @@ func TestSnifferDisabledReceivesNothing(t *testing.T) {
 // contending priority class run the backoff process".
 func TestPriorityResolution(t *testing.T) {
 	root := rng.New(7)
-	nw := NewNetwork()
+	nw := NewNetworkCfg(Config{})
 	dst := NewStation("D", 100, addr(100), root.Split(1000))
 	nw.Attach(dst)
 
@@ -234,7 +238,7 @@ func TestPriorityResolution(t *testing.T) {
 
 func TestUnsaturatedQuietPeriods(t *testing.T) {
 	root := rng.New(9)
-	nw := NewNetwork()
+	nw := NewNetworkCfg(Config{})
 	dst := NewStation("D", 100, addr(100), root.Split(1000))
 	nw.Attach(dst)
 	s := NewStation("slow", 1, addr(1), root.Split(1))
@@ -283,30 +287,6 @@ func TestRunResumes(t *testing.T) {
 	}
 	if nw.Now() < 2e6 {
 		t.Errorf("clock %v after two 1e6 runs", nw.Now())
-	}
-}
-
-func TestErrorModelCorruptsPBs(t *testing.T) {
-	nw, _, _ := buildSaturated(1, 2, 17)
-	nw.SetErrorModel(phy.NewBernoulli(0.1, rng.New(99)))
-	nw.Run(1e7)
-	st := nw.Stats()
-	if st.ErroredPBs == 0 {
-		t.Error("Bernoulli(0.1) corrupted nothing")
-	}
-	totalPBs := st.SuccessMPDUs * 4
-	rate := float64(st.ErroredPBs) / float64(totalPBs)
-	if math.Abs(rate-0.1) > 0.02 {
-		t.Errorf("PB error rate %v, want ≈0.1", rate)
-	}
-}
-
-func TestSetErrorModelNilRestoresClean(t *testing.T) {
-	nw, _, _ := buildSaturated(1, 1, 19)
-	nw.SetErrorModel(nil)
-	nw.Run(1e6)
-	if nw.Stats().ErroredPBs != 0 {
-		t.Error("nil error model still corrupted blocks")
 	}
 }
 
@@ -368,10 +348,6 @@ func TestCountersKeysDeterministic(t *testing.T) {
 	}
 	if keys[0] != k3 || keys[1] != k2 || keys[2] != k1 {
 		t.Errorf("keys not sorted: %v", keys)
-	}
-	c.ResetAll()
-	if len(c.Keys()) != 0 {
-		t.Error("ResetAll left keys")
 	}
 }
 

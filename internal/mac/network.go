@@ -8,7 +8,6 @@ import (
 	"repro/internal/backoff"
 	"repro/internal/config"
 	"repro/internal/hpav"
-	"repro/internal/phy"
 	"repro/internal/timing"
 )
 
@@ -71,9 +70,8 @@ type Event struct {
 	// Burst is the burst delivered on success or lost on a channel
 	// error (nil otherwise).
 	Burst *hpav.Burst
-	// ErroredPBs counts physical blocks corrupted by the channel: some
-	// blocks of a delivered burst (EventSuccess with an error model
-	// installed), or the whole burst on EventError.
+	// ErroredPBs counts the physical blocks the channel corrupted: the
+	// whole burst on EventError, zero otherwise.
 	ErroredPBs int
 }
 
@@ -112,11 +110,9 @@ type Stats struct {
 	Elapsed float64
 	// PayloadMicros is the cumulative useful payload time delivered.
 	PayloadMicros float64
-	// ErroredPBs counts channel-corrupted physical blocks.
-	ErroredPBs int64
-	// DeliveredPBs counts physical blocks received intact; with an
-	// error model active, goodput = DeliveredPBs/(DeliveredPBs +
-	// ErroredPBs) of the payload time.
+	// ErroredPBs counts the physical blocks of bursts lost to channel
+	// errors; DeliveredPBs those of delivered bursts.
+	ErroredPBs   int64
 	DeliveredPBs int64
 	// Beacons counts central-coordinator beacon periods.
 	Beacons int64
@@ -144,7 +140,6 @@ type Network struct {
 	byAddr   map[hpav.MAC]*Station
 
 	overheads timing.Overheads
-	errModel  phy.ErrorModel
 
 	clock     float64
 	observers []Observer
@@ -163,88 +158,49 @@ type Network struct {
 	txScratch        []*Station
 }
 
-// Config is the compiled form of a contention domain's knobs — what the
-// declarative scenario layer (internal/scenario) and the testbed hand
-// to NewNetworkCfg in one value instead of a constructor-plus-setters
-// dance. The zero value reproduces the paper's medium exactly: default
-// Table-derived overheads, error-free channel, no beacons, no delay
-// recording.
+// Config is a contention domain's one configuration: what the
+// declarative scenario layer (internal/scenario) and the testbed hand to
+// NewNetworkCfg. The zero value reproduces the paper's medium exactly:
+// default Table-derived overheads, no beacons, no delay recording.
+// Channel errors are per station (Station.SetFrameError).
 type Config struct {
 	// Overheads replaces the timing overheads; nil keeps
-	// timing.DefaultOverheads().
+	// timing.DefaultOverheads(). They must be valid.
 	Overheads *timing.Overheads
-	// ErrorModel corrupts physical blocks of delivered bursts; nil keeps
-	// the error-free channel.
-	ErrorModel phy.ErrorModel
-	// BeaconPeriodMicros, when positive, carries a central-coordinator
-	// beacon every period µs (see EnableBeacons).
+	// BeaconPeriodMicros, when positive, makes the domain carry a
+	// central-coordinator beacon every period µs (HomePlug AV beacons
+	// every two AC line cycles: 33.33 ms at 60 Hz, 40 ms at 50 Hz).
+	// Beacons are delimiter-only busy periods sent without contention;
+	// every contending station senses them busy, consuming one counter
+	// decrement like any other busy period.
 	BeaconPeriodMicros float64
-	// RecordDelays enables per-burst access-delay sampling.
+	// RecordDelays enables per-burst access-delay sampling into
+	// Stats.AccessDelays (off by default: a week-long run would
+	// accumulate millions of samples).
 	RecordDelays bool
 }
 
-// NewNetwork builds an empty contention domain with the paper's timing
-// overheads and an error-free channel.
-func NewNetwork() *Network { return NewNetworkCfg(Config{}) }
-
-// NewNetworkCfg builds an empty contention domain from a compiled
-// configuration. It panics on invalid overheads, like SetOverheads.
+// NewNetworkCfg builds an empty contention domain from its
+// configuration. It panics on invalid overheads.
 func NewNetworkCfg(cfg Config) *Network {
 	n := &Network{
-		byTEI:     make(map[hpav.TEI]*Station),
-		byAddr:    make(map[hpav.MAC]*Station),
-		overheads: timing.DefaultOverheads(),
-		errModel:  phy.None{},
+		byTEI:        make(map[hpav.TEI]*Station),
+		byAddr:       make(map[hpav.MAC]*Station),
+		overheads:    timing.DefaultOverheads(),
+		recordDelays: cfg.RecordDelays,
 	}
 	if cfg.Overheads != nil {
-		n.SetOverheads(*cfg.Overheads)
-	}
-	if cfg.ErrorModel != nil {
-		n.SetErrorModel(cfg.ErrorModel)
+		if err := cfg.Overheads.Validate(); err != nil {
+			panic(fmt.Sprintf("mac: NewNetworkCfg: %v", err))
+		}
+		n.overheads = *cfg.Overheads
 	}
 	if cfg.BeaconPeriodMicros > 0 {
-		n.EnableBeacons(cfg.BeaconPeriodMicros)
+		n.beaconPeriod = cfg.BeaconPeriodMicros
+		n.nextBeacon = cfg.BeaconPeriodMicros
 	}
-	n.RecordDelays(cfg.RecordDelays)
 	return n
 }
-
-// SetOverheads replaces the timing overheads (must be valid).
-func (n *Network) SetOverheads(o timing.Overheads) {
-	if err := o.Validate(); err != nil {
-		panic(fmt.Sprintf("mac: SetOverheads: %v", err))
-	}
-	n.overheads = o
-}
-
-// SetErrorModel installs a PB corruption model (nil restores the
-// error-free channel).
-func (n *Network) SetErrorModel(m phy.ErrorModel) {
-	if m == nil {
-		m = phy.None{}
-	}
-	n.errModel = m
-}
-
-// EnableBeacons makes the contention domain carry a central-coordinator
-// beacon every period µs (HomePlug AV beacons every two AC line cycles:
-// 33.33 ms at 60 Hz, 40 ms at 50 Hz). Beacons are delimiter-only busy
-// periods sent without contention; every contending station senses them
-// busy, consuming one counter decrement like any other busy period.
-// period ≤ 0 disables beacons.
-func (n *Network) EnableBeacons(period float64) {
-	if period <= 0 {
-		n.beaconPeriod = 0
-		return
-	}
-	n.beaconPeriod = period
-	n.nextBeacon = n.clock + period
-}
-
-// RecordDelays toggles per-burst access-delay sampling into
-// Stats.AccessDelays (off by default: a week-long run would accumulate
-// millions of samples).
-func (n *Network) RecordDelays(on bool) { n.recordDelays = on }
 
 // Attach adds a station to the contention domain. TEIs and MACs must be
 // unique.
@@ -544,15 +500,6 @@ func (n *Network) success(w *Station, pri config.Priority, now float64) {
 
 	d := n.burstDuration(k, spec.FrameMicros)
 
-	// Channel errors: corrupt PBs of the delivered burst.
-	errored := 0
-	for i := 0; i < k*spec.PBsPerMPDU; i++ {
-		if n.errModel.Corrupt() {
-			errored++
-		}
-	}
-	delivered := k*spec.PBsPerMPDU - errored
-
 	// Firmware counters: the transmitter's tx link gets k acked MPDUs;
 	// the destination's rx link mirrors them.
 	txKey := LinkKey{Peer: spec.DstAddr, Priority: pri, Direction: hpav.DirectionTx}
@@ -593,14 +540,13 @@ func (n *Network) success(w *Station, pri config.Priority, now float64) {
 	n.stats.Successes++
 	n.stats.SuccessMPDUs += int64(k)
 	n.stats.PayloadMicros += float64(k) * spec.FrameMicros
-	n.stats.ErroredPBs += int64(errored)
-	n.stats.DeliveredPBs += int64(delivered)
+	n.stats.DeliveredPBs += int64(k * spec.PBsPerMPDU)
 	n.perClass[pri].Successes++
 	n.clock = now + d
 	if observed {
 		n.emit(Event{
 			Time: now, Duration: d, Kind: EventSuccess, Class: pri,
-			Transmitters: []hpav.TEI{w.TEI}, Burst: burst, ErroredPBs: errored,
+			Transmitters: []hpav.TEI{w.TEI}, Burst: burst,
 		})
 	}
 }

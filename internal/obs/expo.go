@@ -88,14 +88,6 @@ func (c *Counter) render(b []byte, name, _ string) []byte {
 	return append(b, '\n')
 }
 
-func (g *Gauge) render(b []byte, name, _ string) []byte {
-	b = append(b, name...)
-	b = append(b, g.labels...)
-	b = append(b, ' ')
-	b = strconv.AppendInt(b, g.v.Load(), 10)
-	return append(b, '\n')
-}
-
 // render emits the histogram's cumulative bucket series. A concurrent
 // Observe between the bucket loads and the count load can make the
 // snapshot momentarily inconsistent (count one ahead of the +Inf
@@ -146,19 +138,12 @@ func appendFloat(b []byte, v float64) []byte {
 	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
-// Snapshot support: reading a histogram's buckets for tests and for
-// client-side summaries (plcload) goes through BucketCounts, which
-// returns the non-cumulative per-bucket counts with the +Inf overflow
-// last.
+// BucketCounts returns the non-cumulative per-bucket counts with the
+// +Inf overflow last.
 func (h *Histogram) BucketCounts() []uint64 {
 	out := make([]uint64, len(h.buckets))
 	for i := range h.buckets {
 		out[i] = h.buckets[i].Load()
 	}
 	return out
-}
-
-// Bounds returns the histogram's bucket upper bounds (without +Inf).
-func (h *Histogram) Bounds() []float64 {
-	return append([]float64(nil), h.bounds...)
 }

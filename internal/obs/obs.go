@@ -188,11 +188,6 @@ type Counter struct {
 //plclint:noalloc
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n.
-//
-//plclint:noalloc
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
@@ -217,47 +212,6 @@ func (v *CounterVec) With(values ...string) *Counter { return v.f.counter(values
 
 func (f *family) counter(values []string) *Counter {
 	return f.child(values, func(labels string) renderable { return &Counter{labels: labels} }).(*Counter)
-}
-
-// A Gauge is a value that can go up and down. All methods are safe for
-// concurrent use and allocation-free.
-type Gauge struct {
-	labels string
-	v      atomic.Int64
-}
-
-// Set replaces the value.
-//
-//plclint:noalloc
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adds n (negative to subtract).
-//
-//plclint:noalloc
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// NewGauge registers an unlabeled gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	f := r.register(&family{name: name, help: help, typ: typeGauge})
-	return f.gauge(nil)
-}
-
-// A GaugeVec is a gauge family with labels.
-type GaugeVec struct{ f *family }
-
-// NewGaugeVec registers a labeled gauge family.
-func (r *Registry) NewGaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	return &GaugeVec{r.register(&family{name: name, help: help, typ: typeGauge, labels: labelNames})}
-}
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.f.gauge(values) }
-
-func (f *family) gauge(values []string) *Gauge {
-	return f.child(values, func(labels string) renderable { return &Gauge{labels: labels} }).(*Gauge)
 }
 
 // NewCounterFunc registers a counter whose value is read from fn at
@@ -306,12 +260,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 }
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
 // NewHistogram registers an unlabeled histogram with the given bucket
 // upper bounds (strictly increasing; +Inf is implicit).

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -13,17 +14,17 @@ import (
 func testRegistry() (*Registry, *Counter, *Histogram) {
 	r := NewRegistry()
 	c := r.NewCounter("test_requests_total", "Requests handled.")
-	c.Add(41)
-	c.Inc()
+	for i := 0; i < 42; i++ {
+		c.Inc()
+	}
 	cv := r.NewCounterVec("test_outcomes_total", "Outcomes by kind and state.", "kind", "state")
-	cv.With("scenario", "done").Add(7)
+	for i := 0; i < 7; i++ {
+		cv.With("scenario", "done").Inc()
+	}
 	cv.With("campaign", "failed").Inc()
 	cv.With("scenario", `we"ird\val`+"\nue").Inc() // escaping edge
-	g := r.NewGauge("test_queue_depth", "Jobs waiting.")
-	g.Set(3)
-	gv := r.NewGaugeVec("test_occupancy", "Occupancy by tier.", "tier")
-	gv.With("memory").Set(128)
-	gv.With("disk").Set(1 << 30)
+	r.NewGaugeFunc("test_queue_depth", "Jobs waiting.", func() float64 { return 3 })
+	r.NewGaugeFunc("test_cache_bytes", "Disk cache bytes.", func() float64 { return 1 << 30 })
 	r.NewGaugeFunc("test_live_records", "Live journal records.", func() float64 { return 12 })
 	r.NewCounterFunc("test_write_failures_total", "Dropped writes.", func() float64 { return 2 })
 	h := r.NewHistogram("test_latency_seconds", "E2E latency.\nSecond help line.", LatencyBuckets())
@@ -34,6 +35,68 @@ func testRegistry() (*Registry, *Counter, *Histogram) {
 	hv.With("scenario").Observe(0.05)
 	hv.With("campaign").Observe(5)
 	return r, c, h
+}
+
+// buckets extracts a parsed histogram family's cumulative buckets for
+// one label set (ignoring le), sorted by bound with +Inf last, plus
+// its _sum and _count. match selects the series: every non-le label
+// must equal the corresponding entry (nil matches the unlabeled
+// child).
+func buckets(f *ParsedFamily, match map[string]string) (bounds []float64, cum []uint64, sum float64, count uint64) {
+	type bkt struct {
+		le float64
+		v  uint64
+	}
+	var bkts []bkt
+	for _, s := range f.Samples {
+		labels := map[string]string{}
+		for k, v := range s.Labels {
+			if k != "le" {
+				labels[k] = v
+			}
+		}
+		if !labelsMatch(labels, match) {
+			continue
+		}
+		switch s.Name {
+		case f.Name + "_sum":
+			sum = s.Value
+		case f.Name + "_count":
+			count = uint64(s.Value)
+		case f.Name + "_bucket":
+			le, err := parseValue(s.Labels["le"])
+			if err != nil {
+				continue
+			}
+			bkts = append(bkts, bkt{le, uint64(s.Value)})
+		}
+	}
+	sort.Slice(bkts, func(i, j int) bool { return bkts[i].le < bkts[j].le })
+	for _, b := range bkts {
+		bounds = append(bounds, b.le)
+		cum = append(cum, b.v)
+	}
+	return bounds, cum, sum, count
+}
+
+// scrapeHistogram renders r and returns the unlabeled histogram name's
+// _sum and _count as a scrape sees them.
+func scrapeHistogram(t *testing.T, r *Registry, name string) (sum float64, count uint64) {
+	t.Helper()
+	var sb strings.Builder
+	if err := r.Render(&sb); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := ParseText(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := fams[name]
+	if f == nil {
+		t.Fatalf("family %s missing", name)
+	}
+	_, _, sum, count = buckets(f, nil)
+	return sum, count
 }
 
 // TestExpositionConformance is the format conformance gate: everything
@@ -57,7 +120,7 @@ func TestExpositionConformance(t *testing.T) {
 		"test_requests_total":       "counter",
 		"test_outcomes_total":       "counter",
 		"test_queue_depth":          "gauge",
-		"test_occupancy":            "gauge",
+		"test_cache_bytes":          "gauge",
 		"test_live_records":         "gauge",
 		"test_write_failures_total": "counter",
 		"test_latency_seconds":      "histogram",
@@ -107,8 +170,8 @@ func TestExpositionConformance(t *testing.T) {
 	if v, ok := fams["test_outcomes_total"].Value(map[string]string{"kind": "scenario", "state": `we"ird\val` + "\nue"}); !ok || v != 1 {
 		t.Errorf("escaped label value did not round-trip: %v, %v", v, ok)
 	}
-	if v, ok := fams["test_occupancy"].Value(map[string]string{"tier": "disk"}); !ok || v != 1<<30 {
-		t.Errorf("occupancy{disk} = %v, %v; want 2^30", v, ok)
+	if v, ok := fams["test_cache_bytes"].Value(nil); !ok || v != 1<<30 {
+		t.Errorf("test_cache_bytes = %v, %v; want 2^30", v, ok)
 	}
 
 	// Deterministic rendering: a second scrape of the unchanged
@@ -142,7 +205,7 @@ func checkHistogram(t *testing.T, f *ParsedFamily) {
 		seen[key] = match
 	}
 	for _, match := range seen {
-		bounds, cum, sum, count := f.Buckets(match)
+		bounds, cum, sum, count := buckets(f, match)
 		if len(bounds) == 0 {
 			t.Errorf("%s%v: no buckets", f.Name, match)
 			continue
@@ -173,22 +236,21 @@ func TestHistogramSum(t *testing.T) {
 		h.Observe(v)
 		want += v
 	}
-	if h.Sum() != want {
-		t.Errorf("Sum = %v, want %v", h.Sum(), want)
+	sum, count := scrapeHistogram(t, r, "s")
+	if sum != want {
+		t.Errorf("_sum = %v, want %v", sum, want)
 	}
-	if h.Count() != 3 {
-		t.Errorf("Count = %d, want 3", h.Count())
+	if count != 3 {
+		t.Errorf("_count = %d, want 3", count)
 	}
 }
 
-// TestConcurrentNoLostIncrements hammers one counter, one gauge and
-// one histogram from many goroutines and asserts exact totals — under
+// TestConcurrentNoLostIncrements hammers one counter and one histogram from many goroutines and asserts exact totals — under
 // -race this doubles as the data-race gate for the whole hot path.
 func TestConcurrentNoLostIncrements(t *testing.T) {
 	const goroutines, perG = 16, 5000
 	r := NewRegistry()
 	c := r.NewCounter("c_total", "c")
-	g := r.NewGauge("g", "g")
 	h := r.NewHistogram("h", "h", []float64{0.5, 1.5, 2.5})
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {
@@ -197,7 +259,6 @@ func TestConcurrentNoLostIncrements(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < perG; k++ {
 				c.Inc()
-				g.Add(1)
 				h.Observe(float64(k % 4)) // buckets 0.5,1.5,2.5,+Inf each hit perG/4 times
 			}
 		}(i)
@@ -207,15 +268,13 @@ func TestConcurrentNoLostIncrements(t *testing.T) {
 	if c.Value() != total {
 		t.Errorf("counter = %d, want %d (lost increments)", c.Value(), total)
 	}
-	if g.Value() != total {
-		t.Errorf("gauge = %d, want %d", g.Value(), total)
-	}
-	if h.Count() != total {
-		t.Errorf("histogram count = %d, want %d", h.Count(), total)
+	sum, count := scrapeHistogram(t, r, "h")
+	if count != total {
+		t.Errorf("histogram count = %d, want %d", count, total)
 	}
 	wantSum := float64(goroutines) * (perG / 4) * (0 + 1 + 2 + 3)
-	if h.Sum() != wantSum {
-		t.Errorf("histogram sum = %v, want %v (lost CAS update)", h.Sum(), wantSum)
+	if sum != wantSum {
+		t.Errorf("histogram sum = %v, want %v (lost CAS update)", sum, wantSum)
 	}
 	for i, n := range h.BucketCounts() {
 		if n != total/4 {
@@ -231,13 +290,9 @@ func TestConcurrentNoLostIncrements(t *testing.T) {
 func TestHotPathAllocationFree(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("c_total", "c")
-	g := r.NewGauge("g", "g")
 	h := r.NewHistogram("h", "h", LatencyBuckets())
-	if n := testing.AllocsPerRun(1000, func() { c.Inc(); c.Add(2) }); n != 0 {
-		t.Errorf("Counter.Inc/Add allocates %.1f/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() { g.Set(7); g.Add(-1) }); n != 0 {
-		t.Errorf("Gauge.Set/Add allocates %.1f/op, want 0", n)
+	if n := testing.AllocsPerRun(1000, func() { c.Inc() }); n != 0 {
+		t.Errorf("Counter.Inc allocates %.1f/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() { h.Observe(0.017) }); n != 0 {
 		t.Errorf("Histogram.Observe allocates %.1f/op, want 0", n)
@@ -257,7 +312,7 @@ func TestRegistrationPanics(t *testing.T) {
 	}
 	r := NewRegistry()
 	r.NewCounter("dup_total", "first")
-	mustPanic("duplicate name", func() { r.NewGauge("dup_total", "second") })
+	mustPanic("duplicate name", func() { r.NewGaugeFunc("dup_total", "second", func() float64 { return 0 }) })
 	mustPanic("bad metric name", func() { r.NewCounter("0bad", "x") })
 	mustPanic("bad label name", func() { r.NewCounterVec("v_total", "x", "le gal") })
 	mustPanic("unsorted buckets", func() { r.NewHistogram("h", "x", []float64{2, 1}) })

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -207,65 +206,24 @@ func parseValue(s string) (float64, error) {
 	return strconv.ParseFloat(s, 64)
 }
 
-// Buckets extracts a parsed histogram family's cumulative buckets for
-// one label set (ignoring le), sorted by bound with +Inf last, plus
-// its _sum and _count. match selects the series: every non-le label
-// must equal the corresponding entry (nil matches the unlabeled
-// child).
-func (f *ParsedFamily) Buckets(match map[string]string) (bounds []float64, cum []uint64, sum float64, count uint64) {
-	type bkt struct {
-		le float64
-		v  uint64
-	}
-	var bkts []bkt
-	for _, s := range f.Samples {
-		if !labelsMatch(s.Labels, match, true) {
-			continue
-		}
-		switch s.Name {
-		case f.Name + "_sum":
-			sum = s.Value
-		case f.Name + "_count":
-			count = uint64(s.Value)
-		case f.Name + "_bucket":
-			le, err := parseValue(s.Labels["le"])
-			if err != nil {
-				continue
-			}
-			bkts = append(bkts, bkt{le, uint64(s.Value)})
-		}
-	}
-	sort.Slice(bkts, func(i, j int) bool { return bkts[i].le < bkts[j].le })
-	for _, b := range bkts {
-		bounds = append(bounds, b.le)
-		cum = append(cum, b.v)
-	}
-	return bounds, cum, sum, count
-}
-
 // Value returns the single sample value for one label set of a counter
 // or gauge family (ok=false when absent).
 func (f *ParsedFamily) Value(match map[string]string) (float64, bool) {
 	for _, s := range f.Samples {
-		if s.Name == f.Name && labelsMatch(s.Labels, match, false) {
+		if s.Name == f.Name && labelsMatch(s.Labels, match) {
 			return s.Value, true
 		}
 	}
 	return 0, false
 }
 
-// labelsMatch reports whether the sample's labels equal match
-// (ignoring le when ignoreLE), treating nil and empty alike.
-func labelsMatch(labels, match map[string]string, ignoreLE bool) bool {
-	n := 0
+// labelsMatch reports whether the sample's labels equal match,
+// treating nil and empty alike.
+func labelsMatch(labels, match map[string]string) bool {
 	for k, v := range labels {
-		if ignoreLE && k == "le" {
-			continue
-		}
 		if match[k] != v {
 			return false
 		}
-		n++
 	}
-	return n == len(match)
+	return len(labels) == len(match)
 }

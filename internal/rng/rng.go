@@ -133,17 +133,3 @@ func (s *Source) Exponential(mean float64) float64 {
 	}
 	return -mean * math.Log(u)
 }
-
-// Perm returns a pseudo-random permutation of [0, n) (Fisher–Yates),
-// used to randomize station activation order in testbed scenarios.
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}

@@ -185,23 +185,6 @@ func TestExponentialMean(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	s := New(29)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := s.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 // Property: Intn stays in range for arbitrary seeds and bounds.
 func TestIntnRangeProperty(t *testing.T) {
 	f := func(seed uint64, bound uint16) bool {

@@ -39,13 +39,16 @@ func (s State) Terminal() bool {
 // Trace stage names. The lifecycle stages a job's timeline records:
 // accepted (admission), queued (landed on the queue; absent for
 // cache-hit answers), running (a worker picked it up), first_batch
-// (first progress callback — time-to-first-result), then the terminal
-// state name verbatim.
+// (first progress callback — time-to-first-result), computed (the
+// result is built and handed to the persister; absent when the run
+// fails), then the terminal state name verbatim. computed → done is the
+// disk write.
 const (
 	traceAccepted   = "accepted"
 	traceQueued     = "queued"
 	traceRunning    = "running"
 	traceFirstBatch = "first_batch"
+	traceComputed   = "computed"
 )
 
 // TraceStage is one step of a job's trace timeline as served on

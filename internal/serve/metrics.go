@@ -169,8 +169,3 @@ func (m *metrics) finishedCount(st State) int64 {
 	return int64(m.finished.With(kindScenario, string(st)).Value() +
 		m.finished.With(kindCampaign, string(st)).Value())
 }
-
-// Metrics returns the server's metric registry — mounted at
-// GET /metrics by Handler, and available here for embedders that mount
-// their own.
-func (s *Server) Metrics() *obs.Registry { return s.metrics.reg }

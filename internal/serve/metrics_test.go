@@ -94,11 +94,17 @@ func TestMetricsMatchStats(t *testing.T) {
 		if f == nil {
 			t.Fatalf("family %s missing", name)
 		}
-		match := map[string]string{}
+		kind := ""
 		if name != "plcsrv_queue_wait_seconds" {
-			match["kind"] = "scenario"
+			kind = "scenario"
 		}
-		if _, _, _, count := f.Buckets(match); count == 0 {
+		var count float64
+		for _, s := range f.Samples {
+			if s.Name == name+"_count" && s.Labels["kind"] == kind {
+				count = s.Value
+			}
+		}
+		if count == 0 {
 			t.Errorf("%s: no observations after a completed job", name)
 		}
 	}
@@ -197,7 +203,7 @@ func TestTraceTimeline(t *testing.T) {
 	if err := json.Unmarshal(rr.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
-	assertStages(t, st.Trace, "accepted", "queued", "running", "first_batch", "done")
+	assertStages(t, st.Trace, "accepted", "queued", "running", "first_batch", "computed", "done")
 	for i, ts := range st.Trace {
 		if ts.DeltaMS < 0 || ts.ElapsedMS < 0 {
 			t.Errorf("stage %d has negative duration: %+v", i, ts)

@@ -923,6 +923,7 @@ func (s *Server) runJob(j *Job) {
 		return
 	}
 	s.cache.insert(ent)
+	j.trace.Mark(traceComputed)
 	s.persistQ <- persisted{job: j, ent: ent, svc: svc}
 }
 

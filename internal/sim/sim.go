@@ -143,7 +143,7 @@ func (in Inputs) stationParams(i int) config.Params {
 //
 // where "collisions" counts the colliding *stations* of each collision
 // event (a 3-way collision adds 3), matching the per-station frame
-// counters the testbed measures. With a channel error model installed
+// counters the testbed measures. With channel errors set
 // (Inputs.ErrorProb) the attempt denominator additionally includes the
 // errored frames — the ΣAᵢ estimator of Section 3.2 counts them, since
 // the destination acknowledges errored frames too; with the paper's

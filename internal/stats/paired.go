@@ -84,12 +84,11 @@ type CVEstimate struct {
 // PairedAccumulator extends Accumulator to a sample paired with K
 // control observations per value: alongside the metric's Welford
 // moments it maintains the control means, the metric–control
-// co-moments and the control co-moment matrix, all mergeable with Chan
-// et al.'s parallel update. It exists for the adaptive-replication
-// loop, whose stopping rule needs the control-variate CI95 in O(1) per
-// added replication; the canonical published estimate still comes from
-// the two-pass SummarizeCV over the full sample, mirroring the
-// Accumulator/Summarize split.
+// co-moments and the control co-moment matrix. It exists for the
+// adaptive-replication loop, whose stopping rule needs the
+// control-variate CI95 in O(1) per added replication; the canonical
+// published estimate still comes from the two-pass SummarizeCV over the
+// full sample, mirroring the Accumulator/Summarize split.
 type PairedAccumulator struct {
 	y     Accumulator
 	k     int
@@ -110,15 +109,6 @@ func NewPaired(k int) *PairedAccumulator {
 		scc:   make([]float64, k*k),
 	}
 }
-
-// K returns the number of controls per value.
-func (p *PairedAccumulator) K() int { return p.k }
-
-// N returns the number of pairs accumulated.
-func (p *PairedAccumulator) N() int { return p.y.N() }
-
-// Raw returns the metric-only accumulator (mean, m2, min, max of y).
-func (p *PairedAccumulator) Raw() Accumulator { return p.y }
 
 // Add folds one (value, controls) pair into the accumulator.
 //
@@ -147,51 +137,6 @@ func (p *PairedAccumulator) Add(y float64, c []float64) {
 		p.meanC[j] += (c[j] - p.meanC[j]) / n
 	}
 	p.y.Add(y)
-}
-
-// Merge folds another accumulator's sample into this one, as if every
-// pair it saw had been Added here. A one-pair argument delegates to
-// Add, so merging singletons reproduces sequential accumulation bit for
-// bit (the same guarantee Accumulator.Merge gives).
-//
-//plclint:noalloc
-func (p *PairedAccumulator) Merge(b *PairedAccumulator) {
-	if b.k != p.k {
-		panic(fmt.Sprintf("stats: PairedAccumulator.Merge: %d controls into %d", b.k, p.k))
-	}
-	switch {
-	case b.y.N() == 0:
-		return
-	case b.y.N() == 1:
-		p.Add(b.y.Mean(), b.meanC)
-		return
-	case p.y.N() == 0:
-		p.y = b.y
-		copy(p.meanC, b.meanC)
-		copy(p.syc, b.syc)
-		copy(p.scc, b.scc)
-		return
-	}
-	na, nb := float64(p.y.N()), float64(b.y.N())
-	n := na + nb
-	w := na * nb / n
-	dy := b.y.Mean() - p.y.Mean()
-	for j := 0; j < p.k; j++ {
-		dcj := b.meanC[j] - p.meanC[j]
-		p.syc[j] += b.syc[j] + dy*dcj*w
-		for i := 0; i <= j; i++ {
-			dci := b.meanC[i] - p.meanC[i]
-			v := b.scc[i*p.k+j] + dci*dcj*w
-			p.scc[i*p.k+j] += v
-			if i != j {
-				p.scc[j*p.k+i] += v
-			}
-		}
-	}
-	for j := 0; j < p.k; j++ {
-		p.meanC[j] += (b.meanC[j] - p.meanC[j]) * nb / n
-	}
-	p.y.Merge(b.y)
 }
 
 // Estimate computes the control-variate estimate from the accumulated

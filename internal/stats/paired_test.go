@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/rng"
 )
@@ -22,105 +21,6 @@ func gauss(src *rng.Source) float64 {
 
 func relClose(x, y, tol float64) bool {
 	return math.Abs(x-y) <= tol*(1+math.Abs(x)+math.Abs(y))
-}
-
-// --- Accumulator.Merge edge-case properties (satellite: n=0/n=1 audit) ---
-
-// Merging singleton accumulators in sample order must reproduce
-// sequential Add bit for bit — this is what makes a parallel run's
-// per-replication shards replayable into the exact serial moments.
-func TestAccumulatorSingletonMergeBitIdentical(t *testing.T) {
-	f := func(raw []int16) bool {
-		var seq, merged Accumulator
-		for _, r := range raw {
-			x := float64(r) / 7
-			seq.Add(x)
-			var one Accumulator
-			one.Add(x)
-			merged.Merge(one)
-		}
-		return seq == merged
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Merging a singleton into a populated accumulator must equal Adding the
-// value directly — bit for bit, not just within rounding.
-func TestAccumulatorMergeSingletonArgumentIsAdd(t *testing.T) {
-	f := func(raw []int16, last int16) bool {
-		var a, b Accumulator
-		for _, r := range raw {
-			x := float64(r) / 3
-			a.Add(x)
-			b.Add(x)
-		}
-		a.Add(float64(last) / 3)
-		var one Accumulator
-		one.Add(float64(last) / 3)
-		b.Merge(one)
-		return a == b
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAccumulatorMergeEmptyEdges(t *testing.T) {
-	var a Accumulator
-	a.Add(1)
-	a.Add(2)
-	before := a
-	a.Merge(Accumulator{}) // empty argument: no-op
-	if a != before {
-		t.Errorf("merge of empty argument changed the receiver: %+v", a)
-	}
-	var empty Accumulator
-	empty.Merge(before) // empty receiver: bitwise copy
-	if empty != before {
-		t.Errorf("merge into empty receiver not a copy: %+v vs %+v", empty, before)
-	}
-	var both Accumulator
-	both.Merge(Accumulator{})
-	if both.N() != 0 {
-		t.Errorf("empty-empty merge produced n=%d", both.N())
-	}
-}
-
-// Merge of random contiguous splits ≡ one-shot accumulation: n/min/max
-// exactly, moments to within tight rounding (Chan's update and Welford's
-// agree only up to float rounding for multi-value shards — the singleton
-// path above is the bit-exact one).
-func TestAccumulatorMergeSplitProperty(t *testing.T) {
-	src := rng.New(0x5eed)
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + src.Intn(40)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = 100*gauss(src) + 42
-		}
-		var whole Accumulator
-		for _, x := range xs {
-			whole.Add(x)
-		}
-		cut := src.Intn(n + 1)
-		var left, right Accumulator
-		for _, x := range xs[:cut] {
-			left.Add(x)
-		}
-		for _, x := range xs[cut:] {
-			right.Add(x)
-		}
-		left.Merge(right)
-		if left.N() != whole.N() || left.min != whole.min || left.max != whole.max {
-			t.Fatalf("trial %d: n/min/max mismatch after merge: %+v vs %+v", trial, left, whole)
-		}
-		if !relClose(left.mean, whole.mean, 1e-12) || !relClose(left.m2, whole.m2, 1e-12) {
-			t.Fatalf("trial %d: moments diverged: merged mean=%v m2=%v, whole mean=%v m2=%v",
-				trial, left.mean, left.m2, whole.mean, whole.m2)
-		}
-	}
 }
 
 // --- PairedAccumulator ---
@@ -142,15 +42,6 @@ func TestPairedAddLengthPanics(t *testing.T) {
 		}
 	}()
 	p.Add(1, []float64{1})
-}
-
-func TestPairedMergeMismatchedKPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Merge with mismatched k accepted")
-		}
-	}()
-	NewPaired(2).Merge(NewPaired(3))
 }
 
 // The online paired moments must match the two-pass SummarizeCV
@@ -183,93 +74,6 @@ func TestPairedEstimateMatchesSummarizeCV(t *testing.T) {
 		if !relClose(got.Mean, want.Mean, 1e-9) || !relClose(got.CI95, want.CI95, 1e-9) ||
 			!relClose(got.VarReduction, want.VarReduction, 1e-9) {
 			t.Fatalf("trial %d: estimate mismatch: online %+v vs two-pass %+v", trial, got, want)
-		}
-	}
-}
-
-// Singleton merges of paired accumulators reproduce sequential Add bit
-// for bit, the same guarantee Accumulator gives — this is what keeps a
-// parallel campaign's stopping decisions identical to the serial run's.
-func TestPairedSingletonMergeBitIdentical(t *testing.T) {
-	src := rng.New(0xbeef)
-	for trial := 0; trial < 50; trial++ {
-		n := src.Intn(20)
-		k := 1 + src.Intn(3)
-		seq := NewPaired(k)
-		merged := NewPaired(k)
-		for r := 0; r < n; r++ {
-			y := gauss(src)
-			c := make([]float64, k)
-			for j := range c {
-				c[j] = gauss(src)
-			}
-			seq.Add(y, c)
-			one := NewPaired(k)
-			one.Add(y, c)
-			merged.Merge(one)
-		}
-		if seq.y != merged.y {
-			t.Fatalf("trial %d: y accumulators diverged: %+v vs %+v", trial, seq.y, merged.y)
-		}
-		for j := range seq.meanC {
-			if seq.meanC[j] != merged.meanC[j] || seq.syc[j] != merged.syc[j] {
-				t.Fatalf("trial %d: control moments diverged at %d", trial, j)
-			}
-		}
-		for i := range seq.scc {
-			if seq.scc[i] != merged.scc[i] {
-				t.Fatalf("trial %d: scc diverged at %d: %v vs %v", trial, i, seq.scc[i], merged.scc[i])
-			}
-		}
-	}
-}
-
-// Merging multi-value paired shards agrees with one-shot accumulation to
-// within rounding on every moment.
-func TestPairedMergeSplitProperty(t *testing.T) {
-	src := rng.New(0xdead)
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + src.Intn(30)
-		k := 1 + src.Intn(3)
-		whole := NewPaired(k)
-		type pair struct {
-			y float64
-			c []float64
-		}
-		sample := make([]pair, n)
-		for r := range sample {
-			c := make([]float64, k)
-			for j := range c {
-				c[j] = 10 * gauss(src)
-			}
-			sample[r] = pair{y: 5 * gauss(src), c: c}
-			whole.Add(sample[r].y, sample[r].c)
-		}
-		cut := src.Intn(n + 1)
-		left, right := NewPaired(k), NewPaired(k)
-		for _, s := range sample[:cut] {
-			left.Add(s.y, s.c)
-		}
-		for _, s := range sample[cut:] {
-			right.Add(s.y, s.c)
-		}
-		left.Merge(right)
-		if left.N() != whole.N() {
-			t.Fatalf("trial %d: n mismatch", trial)
-		}
-		if !relClose(left.y.mean, whole.y.mean, 1e-12) || !relClose(left.y.m2, whole.y.m2, 1e-12) {
-			t.Fatalf("trial %d: y moments diverged", trial)
-		}
-		for j := 0; j < k; j++ {
-			if !relClose(left.meanC[j], whole.meanC[j], 1e-12) || !relClose(left.syc[j], whole.syc[j], 1e-12) {
-				t.Fatalf("trial %d: control %d moments diverged: mean %v vs %v, syc %v vs %v",
-					trial, j, left.meanC[j], whole.meanC[j], left.syc[j], whole.syc[j])
-			}
-			for i := 0; i < k; i++ {
-				if !relClose(left.scc[i*k+j], whole.scc[i*k+j], 1e-12) {
-					t.Fatalf("trial %d: scc[%d,%d] diverged", trial, i, j)
-				}
-			}
 		}
 	}
 }

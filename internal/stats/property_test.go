@@ -2,92 +2,8 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
-
-// TestMergeEmptyAndSingletonExact: the n ∈ {0, 1} Merge edges are
-// bit-exact, not just within rounding — merging an empty accumulator
-// is a no-op, merging into an empty one is a copy, and folding a
-// stream of singletons reproduces sequential Adds bit for bit.
-func TestMergeEmptyAndSingletonExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(20)
-		xs := make([]float64, n)
-		for i := range xs {
-			// Mix magnitudes so rounding differences would surface.
-			xs[i] = (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(6)-3))
-		}
-
-		var seq Accumulator
-		for _, x := range xs {
-			seq.Add(x)
-		}
-
-		// Singleton merges in order ≡ sequential accumulation.
-		var viaSingletons Accumulator
-		for _, x := range xs {
-			var one Accumulator
-			one.Add(x)
-			viaSingletons.Merge(one)
-		}
-		if viaSingletons != seq {
-			t.Fatalf("trial %d: singleton merges diverge from sequential Adds:\n got %+v\nwant %+v",
-				trial, viaSingletons, seq)
-		}
-
-		// Merging an empty right side changes nothing.
-		withEmpty := seq
-		withEmpty.Merge(Accumulator{})
-		if withEmpty != seq {
-			t.Fatalf("trial %d: merging an empty accumulator moved state", trial)
-		}
-
-		// Merging into an empty left side is a bitwise copy.
-		var fromEmpty Accumulator
-		fromEmpty.Merge(seq)
-		if fromEmpty != seq {
-			t.Fatalf("trial %d: merge into empty is not a copy:\n got %+v\nwant %+v", trial, fromEmpty, seq)
-		}
-	}
-}
-
-// TestMergeGeneralMatchesSequential: the general (n ≥ 2 both sides)
-// Chan et al. update agrees with sequential accumulation to within
-// float rounding on mean, variance and extrema.
-func TestMergeGeneralMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 50; trial++ {
-		na, nb := 2+rng.Intn(30), 2+rng.Intn(30)
-		var a, b, seq Accumulator
-		for i := 0; i < na; i++ {
-			x := rng.NormFloat64() * 100
-			a.Add(x)
-			seq.Add(x)
-		}
-		for i := 0; i < nb; i++ {
-			x := rng.NormFloat64() * 100
-			b.Add(x)
-			seq.Add(x)
-		}
-		a.Merge(b)
-		if a.N() != seq.N() {
-			t.Fatalf("trial %d: merged n=%d, want %d", trial, a.N(), seq.N())
-		}
-		if rel := math.Abs(a.Mean()-seq.Mean()) / math.Max(1, math.Abs(seq.Mean())); rel > 1e-12 {
-			t.Errorf("trial %d: merged mean %v vs sequential %v", trial, a.Mean(), seq.Mean())
-		}
-		if rel := math.Abs(a.StdDev()-seq.StdDev()) / math.Max(1e-9, seq.StdDev()); rel > 1e-9 {
-			t.Errorf("trial %d: merged stddev %v vs sequential %v", trial, a.StdDev(), seq.StdDev())
-		}
-		sa, ss := a.Summary(), seq.Summary()
-		if sa.Min != ss.Min || sa.Max != ss.Max {
-			t.Errorf("trial %d: merged extrema [%v, %v] vs sequential [%v, %v]",
-				trial, sa.Min, sa.Max, ss.Min, ss.Max)
-		}
-	}
-}
 
 // TestTCrit95Monotonic: the Student-t 95% critical value decreases
 // monotonically in the degrees of freedom — across the exact table,

@@ -89,14 +89,11 @@ func (s Summary) String() string {
 	return fmt.Sprintf("%.6g ± %.2g [%.6g, %.6g] (n=%d)", s.Mean, s.CI95, s.Min, s.Max, s.N)
 }
 
-// Accumulator is an incremental, mergeable summary of a growing sample:
-// Welford's online algorithm for the mean and second central moment,
-// plus min/max. It exists for the adaptive-replication loop, which
-// checks a confidence-interval target after every replication batch —
-// an Accumulator answers in O(1) per added value instead of
-// re-summarizing the whole sample, and two Accumulators built on
-// disjoint shards Merge into the same moments (Chan et al.'s parallel
-// update), so convergence checks compose across workers.
+// Accumulator is an incremental summary of a growing sample: Welford's
+// online algorithm for the mean and second central moment. It exists
+// for the adaptive-replication loop, which checks a confidence-interval
+// target after every replication batch — an Accumulator answers in O(1)
+// per added value instead of re-summarizing the whole sample.
 //
 // Note the float caveat: Welford's streaming variance and Summarize's
 // two-pass variance agree to within rounding, not bit for bit. The
@@ -107,8 +104,6 @@ type Accumulator struct {
 	n    int
 	mean float64
 	m2   float64 // Σ(x − mean)², maintained incrementally
-	min  float64
-	max  float64
 }
 
 // Add folds one value into the accumulator.
@@ -117,57 +112,12 @@ type Accumulator struct {
 func (a *Accumulator) Add(x float64) {
 	a.n++
 	if a.n == 1 {
-		a.mean, a.min, a.max = x, x, x
-		a.m2 = 0
+		a.mean, a.m2 = x, 0
 		return
 	}
 	d := x - a.mean
 	a.mean += d / float64(a.n)
 	a.m2 += d * (x - a.mean)
-	if x < a.min {
-		a.min = x
-	}
-	if x > a.max {
-		a.max = x
-	}
-}
-
-// Merge folds another accumulator's sample into this one, as if every
-// value it saw had been Added here. The n ∈ {0, 1} edges are exact, not
-// just within rounding: an empty side is a bitwise copy (or no-op), and
-// a one-value argument delegates to Add — so merging singletons in
-// order reproduces sequential accumulation bit for bit, the property
-// the shard-equivalence tests pin. (Chan et al.'s update for the
-// general case agrees with sequential Adds only to within float
-// rounding; a singleton's d²·na·nb/n term rounds differently than Add's
-// d·(x−mean′), which is why the delegation is not an optimization but a
-// correctness fix for bit-exact replay.)
-//
-//plclint:noalloc
-func (a *Accumulator) Merge(b Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if b.n == 1 {
-		a.Add(b.mean)
-		return
-	}
-	if a.n == 0 {
-		*a = b
-		return
-	}
-	na, nb := float64(a.n), float64(b.n)
-	d := b.mean - a.mean
-	n := na + nb
-	a.mean += d * nb / n
-	a.m2 += b.m2 + d*d*na*nb/n
-	a.n += b.n
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
 }
 
 // N returns the number of values accumulated.
@@ -193,22 +143,6 @@ func (a Accumulator) CI95() float64 {
 		return 0
 	}
 	return TCrit95(a.n-1) * a.StdDev() / math.Sqrt(float64(a.n))
-}
-
-// Summary renders the accumulated moments as a Summary. It panics on an
-// empty accumulator, mirroring Summarize's contract.
-func (a Accumulator) Summary() Summary {
-	if a.n == 0 {
-		panic("stats: Summary of empty Accumulator")
-	}
-	return Summary{
-		N:      a.n,
-		Mean:   a.mean,
-		StdDev: a.StdDev(),
-		Min:    a.min,
-		Max:    a.max,
-		CI95:   a.CI95(),
-	}
 }
 
 // Mean returns the arithmetic mean (0 for empty input).
@@ -258,60 +192,4 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return ys[lo]*(1-frac) + ys[hi]*frac
-}
-
-// Histogram buckets values into equal-width bins over [min, max].
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-	// Under/Over count values outside [Min, Max).
-	Under, Over int
-}
-
-// NewHistogram builds a histogram with the given bounds and bin count.
-func NewHistogram(min, max float64, bins int) *Histogram {
-	if bins < 1 || max <= min {
-		panic(fmt.Sprintf("stats: NewHistogram(%v, %v, %d): invalid shape", min, max, bins))
-	}
-	return &Histogram{Min: min, Max: max, Counts: make([]int, bins)}
-}
-
-// Add records one value.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Min:
-		h.Under++
-	case x >= h.Max:
-		h.Over++
-	default:
-		i := int((x - h.Min) / (h.Max - h.Min) * float64(len(h.Counts)))
-		if i == len(h.Counts) { // x == Max guarded above; float edge
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of recorded values, including outliers.
-func (h *Histogram) Total() int {
-	t := h.Under + h.Over
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// Mode returns the midpoint of the fullest bin (0 if empty).
-func (h *Histogram) Mode() float64 {
-	best, bestCount := -1, 0
-	for i, c := range h.Counts {
-		if c > bestCount {
-			best, bestCount = i, c
-		}
-	}
-	if best < 0 {
-		return 0
-	}
-	w := (h.Max - h.Min) / float64(len(h.Counts))
-	return h.Min + w*(float64(best)+0.5)
 }

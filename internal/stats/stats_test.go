@@ -140,62 +140,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 42} {
-		h.Add(x)
-	}
-	if h.Under != 1 {
-		t.Errorf("under %d", h.Under)
-	}
-	if h.Over != 2 {
-		t.Errorf("over %d (10 and 42 are ≥ max)", h.Over)
-	}
-	if h.Counts[0] != 2 { // 0, 1.9
-		t.Errorf("bin 0 = %d", h.Counts[0])
-	}
-	if h.Counts[1] != 1 { // 2
-		t.Errorf("bin 1 = %d", h.Counts[1])
-	}
-	if h.Counts[2] != 1 { // 5
-		t.Errorf("bin 2 = %d", h.Counts[2])
-	}
-	if h.Counts[4] != 1 { // 9.99
-		t.Errorf("bin 4 = %d", h.Counts[4])
-	}
-	if h.Total() != 8 {
-		t.Errorf("total %d", h.Total())
-	}
-	// Mode: bin 0 has 2 entries → midpoint 1.
-	if got := h.Mode(); math.Abs(got-1) > 1e-12 {
-		t.Errorf("mode %v", got)
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	for _, mk := range []func(){
-		func() { NewHistogram(0, 10, 0) },
-		func() { NewHistogram(5, 5, 3) },
-		func() { NewHistogram(10, 0, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("invalid histogram accepted")
-				}
-			}()
-			mk()
-		}()
-	}
-}
-
-func TestEmptyHistogramMode(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	if h.Mode() != 0 {
-		t.Errorf("empty mode %v", h.Mode())
-	}
-}
-
 // Property: the summary's bounds and ordering invariants hold.
 func TestSummaryInvariantsProperty(t *testing.T) {
 	f := func(raw []int16) bool {
@@ -242,20 +186,6 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 }
 
-// Property: histogram never loses a sample.
-func TestHistogramTotalProperty(t *testing.T) {
-	f := func(raw []int8) bool {
-		h := NewHistogram(-50, 50, 7)
-		for _, r := range raw {
-			h.Add(float64(r))
-		}
-		return h.Total() == len(raw)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: an Accumulator fed a sample one value at a time agrees with
 // the two-pass Summarize to within rounding on every statistic, and its
 // CI uses the same Student-t critical values.
@@ -271,53 +201,13 @@ func TestAccumulatorMatchesSummarize(t *testing.T) {
 			a.Add(xs[i])
 		}
 		want := Summarize(xs)
-		got := a.Summary()
-		if got.N != want.N || got.Min != want.Min || got.Max != want.Max {
+		if a.N() != want.N {
 			return false
 		}
 		close := func(x, y float64) bool {
 			return math.Abs(x-y) <= 1e-9*(1+math.Abs(x)+math.Abs(y))
 		}
-		return close(got.Mean, want.Mean) && close(got.StdDev, want.StdDev) && close(got.CI95, want.CI95)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: merging shard accumulators equals accumulating the
-// concatenated sample, whatever the split point.
-func TestAccumulatorMergeProperty(t *testing.T) {
-	f := func(raw []int16, cut uint8) bool {
-		xs := make([]float64, len(raw))
-		for i, r := range raw {
-			xs[i] = float64(r) / 3
-		}
-		k := 0
-		if len(xs) > 0 {
-			k = int(cut) % (len(xs) + 1)
-		}
-		var whole, left, right Accumulator
-		for _, x := range xs {
-			whole.Add(x)
-		}
-		for _, x := range xs[:k] {
-			left.Add(x)
-		}
-		for _, x := range xs[k:] {
-			right.Add(x)
-		}
-		left.Merge(right)
-		if whole.N() != left.N() {
-			return false
-		}
-		if whole.N() == 0 {
-			return true
-		}
-		close := func(x, y float64) bool {
-			return math.Abs(x-y) <= 1e-9*(1+math.Abs(x)+math.Abs(y))
-		}
-		return close(whole.Mean(), left.Mean()) && close(whole.StdDev(), left.StdDev())
+		return close(a.Mean(), want.Mean) && close(a.StdDev(), want.StdDev) && close(a.CI95(), want.CI95)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -344,10 +234,4 @@ func TestAccumulatorEmpty(t *testing.T) {
 	if a.N() != 0 || a.Mean() != 0 || a.StdDev() != 0 || a.CI95() != 0 {
 		t.Errorf("zero Accumulator not zero-valued: %+v", a)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Summary of empty Accumulator did not panic")
-		}
-	}()
-	a.Summary()
 }

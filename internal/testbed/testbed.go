@@ -14,7 +14,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/hpav"
 	"repro/internal/mac"
-	"repro/internal/phy"
 	"repro/internal/rng"
 	"repro/internal/traffic"
 )
@@ -53,8 +52,6 @@ type Options struct {
 	// TrafficMeanMicros, when positive, replaces saturated sources with
 	// Poisson sources of this mean inter-arrival time. Zero = saturated.
 	TrafficMeanMicros float64
-	// ErrorModel corrupts physical blocks; nil = error-free channel.
-	ErrorModel phy.ErrorModel
 	// BeaconPeriodMicros, when positive, makes the strip carry a
 	// central-coordinator beacon every period (HomePlug AV: two AC line
 	// cycles — 33,330 µs at 60 Hz). Zero disables beacons, matching the
@@ -150,7 +147,6 @@ func New(opts Options) (*Testbed, error) {
 
 	root := rng.New(opts.Seed)
 	nw := mac.NewNetworkCfg(mac.Config{
-		ErrorModel:         opts.ErrorModel,
 		BeaconPeriodMicros: opts.BeaconPeriodMicros,
 		RecordDelays:       opts.RecordDelays,
 	})

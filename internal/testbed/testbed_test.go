@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/hpav"
-	"repro/internal/phy"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
@@ -221,14 +220,28 @@ func TestUnsaturatedTestbed(t *testing.T) {
 	}
 }
 
+// TestErrorModelPlumbs: per-burst channel errors set on the testbed's
+// transmitters reach the network's PB accounting — delivered and
+// errored blocks are the MPDU counters scaled by PBsPerMPDU.
 func TestErrorModelPlumbs(t *testing.T) {
-	tb, err := New(Options{N: 1, Seed: 7, ErrorModel: phy.NewBernoulli(0.2, rng.New(9))})
+	tb, err := New(Options{N: 2, Seed: 7, PBsPerMPDU: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	root := rng.New(9)
+	for i, d := range tb.Transmitters {
+		d.Station().SetFrameError(0.2, root.Split(uint64(i)))
+	}
 	tb.Run(5e6)
-	if tb.Network.Stats().ErroredPBs == 0 {
-		t.Error("error model not wired through")
+	st := tb.Network.Stats()
+	if st.FrameErrors == 0 {
+		t.Fatal("frame errors not wired through")
+	}
+	if st.DeliveredPBs != st.SuccessMPDUs*3 {
+		t.Errorf("DeliveredPBs %d, want SuccessMPDUs·3 = %d", st.DeliveredPBs, st.SuccessMPDUs*3)
+	}
+	if st.ErroredPBs != st.FrameErrorMPDUs*3 {
+		t.Errorf("ErroredPBs %d, want FrameErrorMPDUs·3 = %d", st.ErroredPBs, st.FrameErrorMPDUs*3)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package timing defines the IEEE 1901 / HomePlug AV MAC time constants
-// and a microsecond-resolution virtual clock used by the simulators and
-// the emulated testbed.
+// and busy-period overheads used by the simulators and the emulated
+// testbed.
 //
 // All durations are expressed in microseconds as float64, matching the
 // units of the simulator published in the technical report accompanying
@@ -113,11 +113,6 @@ func DefaultOverheads() Overheads {
 	}
 }
 
-// SuccessDuration returns Ts for a payload of the given duration.
-func (o Overheads) SuccessDuration(frame Microseconds) Microseconds {
-	return o.PRS + o.Preamble + frame + o.RIFS + o.Ack + o.CIFS
-}
-
 // CollisionDuration returns Tc for a payload of the given duration. A
 // collision occupies the channel for the longest colliding frame and is
 // followed by EIFS (no ACK can be decoded), per the standard's
@@ -141,53 +136,4 @@ func (o Overheads) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Clock is a virtual microsecond clock. Simulated components advance it
-// explicitly; it never consults wall-clock time, which keeps every run
-// deterministic and lets a 240 s "test" finish in milliseconds.
-type Clock struct {
-	now Microseconds
-}
-
-// NewClock returns a clock positioned at t = 0 µs.
-func NewClock() *Clock { return &Clock{} }
-
-// Now returns the current simulated time in µs.
-func (c *Clock) Now() Microseconds { return c.now }
-
-// Advance moves the clock forward by d µs. It panics if d is negative or
-// not finite: a backwards-moving simulation clock is always a programming
-// error and must not be silently absorbed.
-func (c *Clock) Advance(d Microseconds) {
-	if d < 0 || math.IsNaN(d) || math.IsInf(d, 0) {
-		panic(fmt.Sprintf("timing: Clock.Advance(%v): negative or non-finite step", d))
-	}
-	c.now += d
-}
-
-// AdvanceTo moves the clock to absolute time t. It panics if t is in the
-// past or not finite.
-func (c *Clock) AdvanceTo(t Microseconds) {
-	if t < c.now || math.IsNaN(t) || math.IsInf(t, 0) {
-		panic(fmt.Sprintf("timing: Clock.AdvanceTo(%v): before current time %v", t, c.now))
-	}
-	c.now = t
-}
-
-// Reset rewinds the clock to zero for reuse between tests.
-func (c *Clock) Reset() { c.now = 0 }
-
-// Seconds converts a µs duration to seconds.
-func Seconds(us Microseconds) float64 { return us / 1e6 }
-
-// FromSeconds converts seconds to a µs duration.
-func FromSeconds(s float64) Microseconds { return s * 1e6 }
-
-// Slots returns how many whole backoff slots fit in d.
-func Slots(d Microseconds) int {
-	if d <= 0 {
-		return 0
-	}
-	return int(d / SlotTime)
 }

@@ -112,12 +112,6 @@ func (p *Poisson) NextArrival(now float64) float64 {
 // Name returns a rate-labelled name.
 func (p *Poisson) Name() string { return fmt.Sprintf("poisson(mean=%.0fµs)", p.mean) }
 
-// Backlog exposes the queue depth for tests and delay metrics.
-func (p *Poisson) Backlog(now float64) int {
-	p.pull(now)
-	return p.backlog
-}
-
 // None never has traffic; it models attached-but-silent stations (the
 // paper removes those from the power strip precisely because their
 // management traffic would perturb measurements — the emulated testbed

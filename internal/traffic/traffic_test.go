@@ -87,15 +87,22 @@ func TestPoissonTakeEmptyPanics(t *testing.T) {
 	p.Take(0)
 }
 
+// backlog is the source's queue depth at now: the arrivals up to now
+// that no Take has consumed.
+func backlog(p *Poisson, now float64) int {
+	p.pull(now)
+	return p.backlog
+}
+
 func TestPoissonBacklogCounts(t *testing.T) {
 	p := NewPoisson(100, rng.New(11))
 	const now = 10000.0
-	depth := p.Backlog(now)
+	depth := backlog(p, now)
 	if depth < 50 || depth > 200 {
 		t.Errorf("backlog at t=10000 with mean 100 = %d, want ≈100", depth)
 	}
 	p.Take(now)
-	if got := p.Backlog(now); got != depth-1 {
+	if got := backlog(p, now); got != depth-1 {
 		t.Errorf("backlog after Take = %d, want %d", got, depth-1)
 	}
 }
@@ -130,7 +137,7 @@ func TestPoissonDeterminism(t *testing.T) {
 	a := NewPoisson(300, rng.New(5))
 	b := NewPoisson(300, rng.New(5))
 	for now := 0.0; now < 1e6; now += 1e5 {
-		if a.Backlog(now) != b.Backlog(now) {
+		if backlog(a, now) != backlog(b, now) {
 			t.Fatal("identical Poisson sources diverged")
 		}
 	}
@@ -162,7 +169,7 @@ func TestPoissonExtraPendingCallsNeutral(t *testing.T) {
 			probed.Take(now)
 		}
 	}
-	if a, b := plain.Backlog(now), probed.Backlog(now); a != b {
+	if a, b := backlog(plain, now), backlog(probed, now); a != b {
 		t.Errorf("final backlog %d with extra Pending calls, %d without", b, a)
 	}
 }
