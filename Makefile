@@ -44,15 +44,17 @@ bench:
 	@rm -f bench.out
 	@echo "wrote bench-results.json"
 
-# fuzz-smoke gives each scenario/campaign/journal/solver/MME fuzzer a short budget
-# — the CI regression net; long exploratory runs raise -fuzztime
-# locally. Journal recovery fsyncs its compacted file on every exec, so
-# its per-input minimization is capped or it would eat the budget.
+# fuzz-smoke gives each scenario/campaign/journal/cache/solver/MME fuzzer a short
+# budget — the CI regression net; long exploratory runs raise -fuzztime
+# locally. Journal recovery fsyncs its compacted file on every exec and
+# the cache loader opens three segment directories, so their per-input
+# minimization is capped or it would eat the budget.
 fuzz-smoke:
 	go test ./internal/scenario -run=XXX -fuzz=FuzzSpecDecode -fuzztime=15s
 	go test ./internal/scenario -run=XXX -fuzz=FuzzNormalizeIdempotent -fuzztime=15s
 	go test ./internal/campaign -run=XXX -fuzz=FuzzCampaignDecode -fuzztime=15s
 	go test ./internal/campaign -run=XXX -fuzz=FuzzCampaignExpand -fuzztime=15s
 	go test ./internal/serve -run=XXX -fuzz=FuzzJournalOpen -fuzztime=15s -fuzzminimizetime=100x
+	go test ./internal/serve -run=XXX -fuzz=FuzzCacheSegmentOpen -fuzztime=15s -fuzzminimizetime=100x
 	go test ./internal/model -run=XXX -fuzz=FuzzSolveLoaded -fuzztime=15s
 	go test ./internal/hpav -run=XXX -fuzz=FuzzMMEDecode -fuzztime=15s

@@ -2,14 +2,23 @@ package serve
 
 import (
 	"container/list"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"hash/maphash"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/obs"
 )
 
 // entry is one cached result: the verbatim JSON bytes the /result
@@ -23,6 +32,58 @@ type entry struct {
 
 // size is the entry's resident-memory charge against the byte budget.
 func (e entry) size() int { return len(e.json) + len(e.text) }
+
+// The disk tier is a set of append-only segment files, seg-<n>, one per
+// cache instance that stored something. Each stored result is one
+// record, written with a single write:
+//
+//	magic u32 | key length u32 | payload length u32 | CRC-32C u32 | key | payload
+//
+// (little-endian). The CRC covers both lengths, the key and the
+// payload; the payload is the result JSON, byte for byte what /result
+// serves.
+const (
+	segPrefix  = "seg-"
+	recMagic   = 0x52434c50 // "PLCR"
+	recHeader  = 16
+	maxKeyLen  = 1 << 12
+	maxPayload = 1<<32 - 1
+	// An index location packs a segment number (high bits) and a
+	// record offset (low offBits bits) into one uint64.
+	offBits = 40
+	maxOff  = 1<<offBits - 1
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// recordCRC is the checksum a record header carries: over the two
+// lengths (hdr[4:12]) and the key+payload body.
+func recordCRC(hdr, body []byte) uint32 {
+	return crc32.Update(crc32.Update(0, castagnoli, hdr[4:12]), castagnoli, body)
+}
+
+// parseHeader validates a record header's magic and lengths.
+func parseHeader(hdr []byte) (klen, plen int, sum uint32, ok bool) {
+	if binary.LittleEndian.Uint32(hdr) != recMagic {
+		return 0, 0, 0, false
+	}
+	k := binary.LittleEndian.Uint32(hdr[4:])
+	if k == 0 || k > maxKeyLen {
+		return 0, 0, 0, false
+	}
+	return int(k), int(binary.LittleEndian.Uint32(hdr[8:])), binary.LittleEndian.Uint32(hdr[12:]), true
+}
+
+// encodeRecord frames one result as a segment record.
+func encodeRecord(key string, payload []byte) []byte {
+	rec := make([]byte, recHeader, recHeader+len(key)+len(payload))
+	binary.LittleEndian.PutUint32(rec, recMagic)
+	binary.LittleEndian.PutUint32(rec[4:], uint32(len(key)))
+	binary.LittleEndian.PutUint32(rec[8:], uint32(len(payload)))
+	rec = append(append(rec, key...), payload...)
+	binary.LittleEndian.PutUint32(rec[12:], recordCRC(rec[:recHeader], rec[recHeader:]))
+	return rec
+}
 
 // cache is a content-addressed LRU over computed results, optionally
 // persisted to a directory. The memory tier bounds both entry count
@@ -42,6 +103,29 @@ type cache struct {
 	ll       *list.List // front = most recently used; values are entry
 	items    map[string]*list.Element
 
+	// writeSeconds times each disk-tier append; nil until the server
+	// wires its metrics in.
+	writeSeconds *obs.Histogram
+
+	// Disk-tier index: a 64-bit hash of the key → the packed (segment,
+	// offset) of its newest record, no per-entry pointer or string.
+	// imu guards index and segs; it is held only for map and slice
+	// operations, never across I/O.
+	imu   sync.Mutex
+	seed  maphash.Seed
+	index map[uint64]uint64
+	segs  []*os.File // by index-location segment number; own is last
+	ends  []int64    // per segment, the end of its last indexed record
+
+	// wmu serializes appends to this instance's own segment. end is the
+	// offset just past the last good record; a failed append truncates
+	// back to it.
+	wmu     sync.Mutex
+	own     *os.File // nil without a dir, and after close
+	ownSeg  int
+	ownPath string
+	end     int64
+
 	// Disk-write failure accounting: consecutive resets on every
 	// successful write, total only grows. Atomics, not c.mu — the
 	// counters are read by /readyz and /v1/stats while writes are in
@@ -49,56 +133,116 @@ type cache struct {
 	consecDiskFailures atomic.Int64
 	totalDiskFailures  atomic.Int64
 
-	// diskOccupancy tracks the disk tier's byte count: seeded by a
-	// directory walk at startup, then maintained incrementally (each
-	// successful store adds the delta against the file it replaced).
-	// Atomic for the same reason as the failure counters — /v1/stats
-	// and /metrics read it while writes are in flight.
+	// diskOccupancy tracks the disk tier's byte count: the segments'
+	// sizes at open, plus every record appended since. Atomic for the
+	// same reason as the failure counters — /v1/stats and /metrics read
+	// it while writes are in flight.
 	diskOccupancy atomic.Int64
 }
 
 // newCache builds the cache and, when a persistence directory is
-// configured, verifies it is actually usable — created (or creatable)
-// and writable — so a typo'd or read-only -cache-dir fails server
-// startup loudly instead of silently running without persistence.
+// configured, opens the disk tier: it creates this instance's own
+// segment (which is also the writability check, so a typo'd or
+// read-only -cache-dir fails server startup loudly instead of silently
+// running without persistence) and indexes every other segment.
 func newCache(max, maxBytes int, dir string, faults *Faults) (*cache, error) {
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("serve: cache dir %s: %w", dir, err)
-		}
-		probe, err := os.CreateTemp(dir, ".probe-*")
-		if err != nil {
-			return nil, fmt.Errorf("serve: cache dir %s is not writable: %w", dir, err)
-		}
-		name := probe.Name()
-		probe.Close() //plclint:allow journalerr -- writability probe, deleted on the next line; nothing durable is in it
-		os.Remove(name)
-	}
 	c := &cache{max: max, maxBytes: maxBytes, dir: dir, faults: faults, ll: list.New(), items: make(map[string]*list.Element)}
-	if dir != "" {
-		c.diskOccupancy.Store(diskDirBytes(dir))
+	if dir == "" {
+		return c, nil
 	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("serve: cache dir %s: %w", dir, err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("serve: cache dir %s: %w", dir, err)
+	}
+	var nums []int
+	for _, de := range ents {
+		s, ok := strings.CutPrefix(de.Name(), segPrefix)
+		if n, err := strconv.Atoi(s); ok && err == nil && n > 0 && strconv.Itoa(n) == s && de.Type().IsRegular() {
+			nums = append(nums, n)
+		}
+	}
+	sort.Ints(nums)
+	next := 1
+	if len(nums) > 0 {
+		next = nums[len(nums)-1] + 1
+	}
+	// Another server on the same dir may claim the same number between
+	// the listing and the create; O_EXCL makes the loser move on.
+	for {
+		c.ownPath = filepath.Join(dir, segPrefix+strconv.Itoa(next))
+		c.own, err = os.OpenFile(c.ownPath, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+		if !errors.Is(err, os.ErrExist) {
+			break
+		}
+		next++
+	}
+	if err != nil {
+		return nil, fmt.Errorf("serve: cache dir %s is not writable: %w", dir, err)
+	}
+	c.seed = maphash.MakeSeed()
+	c.index = make(map[uint64]uint64)
+	for _, n := range nums {
+		path := filepath.Join(dir, segPrefix+strconv.Itoa(n))
+		if err := c.indexSegment(path); err != nil {
+			log.Printf("serve: cache: skipping segment %s: %v", path, err)
+		}
+	}
+	c.ownSeg = len(c.segs)
+	c.segs = append(c.segs, c.own)
+	c.ends = append(c.ends, 0)
 	return c, nil
 }
 
-// diskDirBytes sums the persisted results' sizes — the disk tier's
-// startup occupancy. Best-effort: entries that vanish mid-walk are
-// skipped, temp files are not counted.
-func diskDirBytes(dir string) int64 {
-	ents, err := os.ReadDir(dir)
+// indexSegment adds one segment's records to the index, reading only
+// their headers and keys. It stops at the first truncated or malformed
+// record: a crash mid-append leaves at most a torn tail. A segment that
+// holds no record is not kept open.
+func (c *cache) indexSegment(path string) error {
+	f, err := os.Open(path)
 	if err != nil {
-		return 0
+		return err
 	}
-	var total int64
-	for _, de := range ents {
-		if de.IsDir() || !strings.HasSuffix(de.Name(), ".json") {
-			continue
-		}
-		if info, err := de.Info(); err == nil {
-			total += info.Size()
-		}
+	info, err := f.Stat()
+	if err != nil {
+		return errors.Join(err, f.Close())
 	}
-	return total
+	size := info.Size()
+	c.diskOccupancy.Add(size)
+	seg := uint64(len(c.segs))
+	// One read covers a header and a key of the usual length.
+	buf := make([]byte, recHeader+128)
+	var off int64
+	for off+recHeader <= size && off <= maxOff {
+		n, err := f.ReadAt(buf, off)
+		if n < recHeader || (err != nil && err != io.EOF) {
+			break
+		}
+		klen, plen, _, ok := parseHeader(buf)
+		next := off + recHeader + int64(klen) + int64(plen)
+		if !ok || next > size {
+			break
+		}
+		key := buf[recHeader:n]
+		if klen <= len(key) {
+			key = key[:klen]
+		} else {
+			key = make([]byte, klen)
+			if _, err := f.ReadAt(key, off+recHeader); err != nil {
+				break
+			}
+		}
+		c.index[maphash.Bytes(c.seed, key)] = seg<<offBits | uint64(off)
+		off = next
+	}
+	if off == 0 {
+		return f.Close()
+	}
+	c.segs = append(c.segs, f)
+	c.ends = append(c.ends, off)
+	return nil
 }
 
 // bytesUsed returns the memory tier's resident byte count.
@@ -176,7 +320,7 @@ func (c *cache) persist(e entry) {
 // either budget (count or bytes) is exceeded — but always keeping the
 // newest entry, so even an oversized result serves its immediate
 // resubmissions. A concurrent insert of the same key (two goroutines
-// faulting the same file in) collapses to a refresh. c.mu must be
+// faulting the same record in) collapses to a refresh. c.mu must be
 // held.
 func (c *cache) insertLocked(e entry) {
 	if el, ok := c.items[e.key]; ok {
@@ -196,25 +340,43 @@ func (c *cache) insertLocked(e entry) {
 	}
 }
 
-// path maps a fingerprint to its persistence file: the hex digest with
-// the algorithm prefix stripped (fingerprints are "sha256:<hex>", and
-// the hex alone is filesystem-safe).
-func (c *cache) path(key string) string {
-	name := strings.TrimPrefix(key, "sha256:")
-	return filepath.Join(c.dir, name+".json")
-}
-
-// loadDisk reads and verifies one persisted result. A file that does
-// not parse or whose embedded key disagrees is ignored (treated as a
-// miss), never trusted. Scenario results and campaign results share
-// the key/text envelope, so one loader serves both kinds; the full
-// payload is kept verbatim, which is what preserves byte-identity
-// across restarts.
+// loadDisk reads and verifies one persisted result. The record is
+// served only when its header, its extent within what the segment held
+// when indexed, its full key and CRC match, and the payload's
+// embedded key agrees; a torn, corrupt or hash-colliding record is a
+// miss, never trusted. Scenario results and campaign results share the
+// key/text envelope, so one loader serves both kinds; the full payload
+// is kept verbatim, which is what preserves byte-identity across
+// restarts.
 func (c *cache) loadDisk(key string) (entry, bool) {
-	data, err := os.ReadFile(c.path(key))
-	if err != nil {
+	c.imu.Lock()
+	loc, ok := c.index[maphash.String(c.seed, key)]
+	var f *os.File
+	var end int64
+	if seg := loc >> offBits; ok && seg < uint64(len(c.segs)) {
+		f, end = c.segs[seg], c.ends[seg]
+	}
+	c.imu.Unlock()
+	if f == nil {
 		return entry{}, false
 	}
+	off := int64(loc & maxOff)
+	var hdr [recHeader]byte
+	if _, err := f.ReadAt(hdr[:], off); err != nil {
+		return entry{}, false
+	}
+	klen, plen, sum, ok := parseHeader(hdr[:])
+	if !ok || klen != len(key) || off+recHeader+int64(klen)+int64(plen) > end {
+		return entry{}, false
+	}
+	body := make([]byte, klen+plen)
+	if _, err := f.ReadAt(body, off+recHeader); err != nil {
+		return entry{}, false
+	}
+	if string(body[:klen]) != key || recordCRC(hdr[:], body) != sum {
+		return entry{}, false
+	}
+	data := body[klen:]
 	var env struct {
 		Key  string `json:"key"`
 		Text string `json:"text"`
@@ -225,54 +387,101 @@ func (c *cache) loadDisk(key string) (entry, bool) {
 	return entry{key: key, json: data, text: env.Text}, true
 }
 
-// storeDisk persists one result atomically (temp file + rename), so a
-// crashed write can never leave a half-written result that a later
-// lookup would serve. Persistence stays best-effort — the memory tier
-// holds the result either way — but a dropped write is no longer
-// silent: the first failure is logged (later ones are suppressed, so a
-// full disk cannot flood the log).
+// storeDisk appends one result to this instance's segment with a
+// single write. A failed or short write truncates the segment back to
+// its last good record, so it cannot hide later records from the next
+// open. Persistence stays best-effort — the memory tier holds the
+// result either way — but a dropped write is never silent: the first
+// failure is logged (later ones are suppressed, so a full disk cannot
+// flood the log) and every one is counted.
 func (c *cache) storeDisk(e entry) {
-	drop := func(err error) {
-		c.consecDiskFailures.Add(1)
-		c.totalDiskFailures.Add(1)
-		c.dropOnce.Do(func() {
-			log.Printf("serve: cache: dropping result persistence to %s: %v (memory tier unaffected; further drops suppressed)", c.dir, err)
-		})
-	}
+	var injected error
 	if f := c.faults; f != nil && f.DiskCacheWrite != nil {
-		if err := f.DiskCacheWrite(e.key); err != nil {
-			drop(err)
+		injected = f.DiskCacheWrite(e.key)
+	}
+	var err error
+	if len(e.key) == 0 || len(e.key) > maxKeyLen || int64(len(e.json)) > maxPayload {
+		err = fmt.Errorf("record of %d+%d bytes does not fit the segment format", len(e.key), len(e.json))
+	} else {
+		start := obs.Now() // operational timing only; never feeds results
+		rec := encodeRecord(e.key, e.json)
+		c.wmu.Lock()
+		err = c.appendLocked(e.key, rec, injected)
+		c.wmu.Unlock()
+		if c.writeSeconds != nil {
+			c.writeSeconds.Observe(obs.Since(start).Seconds())
+		}
+		if err == nil {
+			c.diskOccupancy.Add(int64(len(rec)))
+			c.consecDiskFailures.Store(0)
 			return
 		}
 	}
-	tmp, err := os.CreateTemp(c.dir, ".tmp-*")
-	if err != nil {
-		drop(err)
-		return
+	c.consecDiskFailures.Add(1)
+	c.totalDiskFailures.Add(1)
+	c.dropOnce.Do(func() {
+		log.Printf("serve: cache: dropping result persistence to %s: %v (memory tier unaffected; further drops suppressed)", c.dir, err)
+	})
+}
+
+// appendLocked writes rec at the end of the own segment and indexes
+// it. An injected fault writes half the record, as a full disk can,
+// and fails. c.wmu must be held.
+func (c *cache) appendLocked(key string, rec []byte, injected error) error {
+	if c.own == nil {
+		return os.ErrClosed
 	}
-	name := tmp.Name()
-	_, werr := tmp.Write(e.json)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(name)
-		if werr != nil {
-			drop(werr)
-		} else {
-			drop(cerr)
+	off := c.end
+	if off+int64(len(rec)) > maxOff {
+		return fmt.Errorf("segment %s is full", c.ownPath)
+	}
+	var n int
+	var err error
+	if injected != nil {
+		n, err = c.own.WriteAt(rec[:len(rec)/2], off)
+		if err == nil {
+			err = injected
 		}
-		return
+	} else {
+		n, err = c.own.WriteAt(rec, off)
 	}
-	// Occupancy delta: stat the file this rename replaces (usually
-	// absent) before it disappears, so rewrites don't double-count.
-	var replaced int64
-	if info, err := os.Stat(c.path(e.key)); err == nil {
-		replaced = info.Size()
+	if err != nil {
+		// Writes go at c.end, so the next record overwrites the torn
+		// bytes from their start; the truncate also clears them from a
+		// segment whose next record is shorter, or that gets none.
+		if n > 0 {
+			if terr := c.own.Truncate(off); terr != nil {
+				err = errors.Join(err, terr)
+			}
+		}
+		return err
 	}
-	if err := os.Rename(name, c.path(e.key)); err != nil {
-		os.Remove(name)
-		drop(err)
-		return
+	c.end = off + int64(len(rec))
+	c.imu.Lock()
+	c.index[maphash.String(c.seed, key)] = uint64(c.ownSeg)<<offBits | uint64(off)
+	c.ends[c.ownSeg] = c.end
+	c.imu.Unlock()
+	return nil
+}
+
+// close releases the segment files; later lookups miss and later
+// writes fail. An instance that appended nothing removes its own empty
+// segment, so idle restarts leave no files behind. Safe to call more
+// than once.
+func (c *cache) close() error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.imu.Lock()
+	segs := c.segs
+	c.segs, c.ends = nil, nil
+	c.imu.Unlock()
+	var errs []error
+	for _, f := range segs { // the own segment included
+		errs = append(errs, f.Close())
 	}
-	c.diskOccupancy.Add(int64(len(e.json)) - replaced)
-	c.consecDiskFailures.Store(0)
+	if c.own != nil && c.end == 0 {
+		errs = append(errs, os.Remove(c.ownPath))
+	}
+	c.own = nil
+	return errors.Join(errs...)
 }

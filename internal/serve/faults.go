@@ -14,7 +14,9 @@ package serve
 type Faults struct {
 	// DiskCacheWrite, when non-nil, is consulted before every disk-cache
 	// persistence write; a non-nil error simulates the write failing
-	// (the entry is dropped exactly as a real I/O error would drop it).
+	// partway, as a full disk can: half the record reaches the segment,
+	// then the error (the entry is dropped exactly as a real I/O error
+	// would drop it).
 	DiskCacheWrite func(key string) error
 	// JournalWrite, when non-nil, replaces the journal's record write; a
 	// non-nil error simulates an append failure. The record bytes are

@@ -32,8 +32,9 @@ type metrics struct {
 	replayed          *obs.Counter
 	registryOverflow  *obs.Counter
 
-	queueWait    *obs.Histogram
-	predictSolve *obs.Histogram
+	queueWait      *obs.Histogram
+	predictSolve   *obs.Histogram
+	diskCacheWrite *obs.Histogram
 }
 
 // kindMetrics are one job kind's resolved series.
@@ -112,6 +113,11 @@ func newMetrics(s *Server) *metrics {
 	m.kinds[kindCampaign].cacheHits = m.campaignCacheHits
 	m.predictSolve = r.NewHistogram("plcsrv_predict_solve_seconds",
 		"Analytic solve time of prediction cache misses (leaders only).", bounds)
+	// A disk-tier append takes microseconds, far below the first
+	// latency bucket.
+	m.diskCacheWrite = r.NewHistogram("plcsrv_disk_cache_write_seconds",
+		"Time to append one result to the disk cache tier, failed appends included.",
+		[]float64{1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 0.001, 0.0025, 0.01, 0.1, 1})
 
 	// Failure totals: views over the counters the journal and disk
 	// cache already keep (accounted where the failure happens).

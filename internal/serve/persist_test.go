@@ -32,7 +32,7 @@ func journalHasEnd(t *testing.T, dir string, seq int64) bool {
 // disk-cache write is held: that job is not terminal and has no end
 // record, the worker has already run the next queued job, and a
 // Drain(0) issued during the hold returns only after the held result
-// file and its end record exist.
+// and its end record are on disk.
 func TestPersistOrdering(t *testing.T) {
 	cacheDir, journalDir := t.TempDir(), t.TempDir()
 	held := make(chan string, 1)
@@ -107,12 +107,13 @@ func TestPersistOrdering(t *testing.T) {
 	if got != (counts{2, 0}) {
 		t.Fatalf("Drain = %+v, want both computed jobs drained", got)
 	}
+	fresh := openCache(t, cacheDir, nil)
 	for _, j := range []*Job{jA, jB} {
 		if st := j.Status(); st.State != StateDone {
 			t.Fatalf("job %s after Drain = %s, want done", j.ID(), st.State)
 		}
-		if _, err := os.Stat(s.cache.path(j.Key())); err != nil {
-			t.Fatalf("job %s's result is not on disk after Drain: %v", j.ID(), err)
+		if _, ok := fresh.loadDisk(j.Key()); !ok {
+			t.Fatalf("job %s's result is not on disk after Drain", j.ID())
 		}
 		if !journalHasEnd(t, journalDir, j.seq) {
 			t.Fatalf("job %s has no end record after Drain", j.ID())

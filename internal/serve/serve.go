@@ -63,10 +63,10 @@ type Config struct {
 	// bytes (results embed raw per-replication metrics, so entries vary
 	// widely in size). Default 256 MiB.
 	CacheBytes int
-	// CacheDir, when non-empty, persists every computed result to
-	// <CacheDir>/<hash>.json and consults it on memory misses, so a
-	// restarted server still answers known studies without
-	// re-simulation.
+	// CacheDir, when non-empty, appends every computed result to this
+	// server's own segment file under CacheDir and consults every
+	// segment on memory misses, so a restarted server still answers
+	// known studies without re-simulation.
 	CacheDir string
 	// MaxReps bounds the replication count a single submission may
 	// request. Default 10000.
@@ -292,6 +292,7 @@ func New(cfg Config) (*Server, error) {
 		persistDone: make(chan struct{}),
 	}
 	s.metrics = newMetrics(s)
+	cache.writeSeconds = s.metrics.diskCacheWrite
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker()
@@ -306,8 +307,8 @@ func New(cfg Config) (*Server, error) {
 }
 
 // Close stops accepting submissions, cancels queued and running jobs,
-// and waits for the workers and the persister to drain. Safe to call
-// more than once.
+// waits for the workers and the persister to drain, and closes the
+// journal and the disk cache's files. Safe to call more than once.
 // Jobs cancelled here reach a terminal state and are journaled as
 // such; to instead leave unfinished jobs recoverable, Drain first.
 func (s *Server) Close() {
@@ -324,6 +325,9 @@ func (s *Server) Close() {
 	s.replayWG.Wait()
 	if s.journal != nil {
 		s.journal.close()
+	}
+	if err := s.cache.close(); err != nil {
+		log.Printf("serve: cache: close: %v", err)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -376,19 +377,37 @@ func TestDiskPersistence(t *testing.T) {
 		t.Errorf("disk hits = %d, want 1", counters.DiskCacheHits)
 	}
 
-	// A corrupted cache file must be ignored, not served.
-	s3 := mustNew(t, Config{CacheDir: t.TempDir()})
-	defer s3.Close()
-	key, _ := scenario.Fingerprint(spec, 3)
-	if err := os.WriteFile(s3.cache.path(key), []byte("{not json"), 0o644); err != nil {
+	// A corrupted record must be ignored, not served: flip the case of
+	// a letter in the text rendering of the record s1 wrote, which
+	// leaves the payload valid JSON under the right key.
+	s2.Close()
+	segs, err := filepath.Glob(filepath.Join(dir, segPrefix+"*"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("cache dir holds segments %v (%v), want exactly s1's", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
 		t.Fatal(err)
 	}
+	i := bytes.LastIndex(data, []byte(`"text":"`))
+	for i >= 0 && i < len(data) && !('a' <= data[i] && data[i] <= 'z') {
+		i++
+	}
+	if i < 0 || i == len(data) {
+		t.Fatal("no text rendering in the segment")
+	}
+	data[i] ^= 0x20
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s3 := mustNew(t, Config{CacheDir: dir})
+	defer s3.Close()
 	_, cached, _, err = s3.Submit(spec, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cached {
-		t.Error("corrupted cache file was served as a hit")
+		t.Error("corrupted cache record was served as a hit")
 	}
 }
 
