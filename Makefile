@@ -44,11 +44,14 @@ bench:
 	@rm -f bench.out
 	@echo "wrote bench-results.json"
 
-# fuzz-smoke gives each scenario/campaign/journal/cache/solver/MME fuzzer a short
-# budget — the CI regression net; long exploratory runs raise -fuzztime
-# locally. Journal recovery fsyncs its compacted file on every exec and
-# the cache loader opens three segment directories, so their per-input
-# minimization is capped or it would eat the budget.
+# fuzz-smoke gives each scenario/campaign/journal/cache/solver/MME,
+# HTTP-body and exposition-parser fuzzer a short budget — the CI
+# regression net; long exploratory runs raise -fuzztime locally.
+# Journal recovery fsyncs its compacted file on every exec and the
+# cache loader opens three segment directories, so their per-input
+# minimization is capped or it would eat the budget; so is that of
+# FuzzParseText and FuzzRequestBodies, whose seeds are whole
+# expositions and request bodies that minimize byte by byte.
 fuzz-smoke:
 	go test ./internal/scenario -run=XXX -fuzz=FuzzSpecDecode -fuzztime=15s
 	go test ./internal/scenario -run=XXX -fuzz=FuzzNormalizeIdempotent -fuzztime=15s
@@ -58,3 +61,5 @@ fuzz-smoke:
 	go test ./internal/serve -run=XXX -fuzz=FuzzCacheSegmentOpen -fuzztime=15s -fuzzminimizetime=100x
 	go test ./internal/model -run=XXX -fuzz=FuzzSolveLoaded -fuzztime=15s
 	go test ./internal/hpav -run=XXX -fuzz=FuzzMMEDecode -fuzztime=15s
+	go test ./internal/serve -run=XXX -fuzz=FuzzRequestBodies -fuzztime=15s -fuzzminimizetime=100x
+	go test ./internal/obs -run=XXX -fuzz=FuzzParseText -fuzztime=15s -fuzzminimizetime=100x

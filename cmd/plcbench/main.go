@@ -361,14 +361,12 @@ func campaignTable(path string, parallel bool) (*experiments.Table, error) {
 			row = append(row, campaign.FormatSpeedup(g.Speedup))
 		}
 		for _, ms := range g.Metrics {
-			switch {
-			case ms == nil:
+			if ms == nil {
 				row = append(row, "-", "-")
-			case ms.CV != nil && ms.CV.Applied:
-				row = append(row, fmt.Sprintf("%.6f", ms.CV.Mean), fmt.Sprintf("%.6f", ms.CV.CI95))
-			default:
-				row = append(row, fmt.Sprintf("%.6f", ms.Summary.Mean), fmt.Sprintf("%.6f", ms.Summary.CI95))
+				continue
 			}
+			mean, hw := ms.Interval()
+			row = append(row, fmt.Sprintf("%.6f", mean), fmt.Sprintf("%.6f", hw))
 		}
 		t.AddRow(row...)
 	}

@@ -9,8 +9,9 @@
 // in its doc comment must show no heap escapes in the compiler's own
 // escape analysis (go build -gcflags=-m). A change that introduces a
 // new escape into the steady-state MAC loop, AfterIdleN, the
-// simulator's lazy medium loop, or the Welford/paired accumulators fails the lint immediately, instead of
-// surfacing as a benchmark regression three PRs later.
+// simulator's lazy medium loop, the model's stage evaluation, or the
+// metric counters and histograms fails the lint immediately, instead
+// of surfacing as a benchmark regression three PRs later.
 //
 // Two diagnostic classes are excluded, because they cannot contribute
 // to steady-state allocation:

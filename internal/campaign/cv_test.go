@@ -184,8 +184,8 @@ func TestCVCampaignPointMatchesStandalone(t *testing.T) {
 
 // TestCVCacheRerunZeroWork extends the "nearly free rerun" property to
 // CV campaigns: cached point reports carry the control vectors, so a
-// rerun adopts them, rebuilds the paired accumulators, reaches the same
-// stopping decisions and simulates nothing.
+// rerun adopts them, reaches the same stopping decisions and simulates
+// nothing.
 func TestCVCacheRerunZeroWork(t *testing.T) {
 	spec := cvSweepSpec(t, true)
 	spec.Targets = []Target{{Metric: "collision_pr", CI: 0.005}}
@@ -214,8 +214,8 @@ func TestCVCacheRerunZeroWork(t *testing.T) {
 
 	// A cached report stripped of its control vectors (e.g. written by a
 	// pre-CV binary under a colliding key — impossible via fingerprints,
-	// but cheap to defend) must be rejected, not adopted into a broken
-	// paired state.
+	// but cheap to defend) must be rejected, not adopted into a point
+	// whose later batches could not carry the CV reduction.
 	for k, v := range cache.m {
 		clone := *v
 		clone.Points = append([]scenario.PointReport(nil), v.Points...)

@@ -87,20 +87,19 @@ func (r *Report) Grid() []GridRow {
 	return rows
 }
 
-// formatCell renders one metric summary as a table cell. CV-adjusted
-// estimates print the reduced interval (the raw one is in the point's
-// full report); a nil summary means the engine does not report the
-// metric at this point.
+// formatCell renders one metric summary as a table cell: the interval
+// the point publishes (MetricSummary.Interval — the reduced one where a
+// CV fit applied; the raw one is in the point's full report). A nil
+// summary means the engine does not report the metric at this point.
 func formatCell(ms *scenario.MetricSummary) string {
 	switch {
 	case ms == nil:
 		return "-"
 	case ms.Summary.N == 1:
 		return fmt.Sprintf("%.6f", ms.Summary.Mean)
-	case ms.CV != nil && ms.CV.Applied:
-		return fmt.Sprintf("%.6f ± %.6f", ms.CV.Mean, ms.CV.CI95)
 	default:
-		return fmt.Sprintf("%.6f ± %.6f", ms.Summary.Mean, ms.Summary.CI95)
+		mean, hw := ms.Interval()
+		return fmt.Sprintf("%.6f ± %.6f", mean, hw)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/par"
 	"repro/internal/scenario"
-	"repro/internal/stats"
 )
 
 // Cache lets a runner consult a content-addressed result store before
@@ -91,14 +90,10 @@ type pointState struct {
 	step     int   // index into schedule of the count being built
 	seeds    []uint64
 	perRep   [][]scenario.Metric
-	controls [][]float64         // per-rep control vectors (CV campaigns only)
-	accs     []stats.Accumulator // one per metric, in canonical order
-	// paired mirrors accs for control-variate campaigns: one paired
-	// accumulator per metric with control channels, nil elsewhere. The
-	// adaptive stopping rule reads its reduced interval.
-	paired    []*stats.PairedAccumulator
-	names     []string // metric names, from the first replication
-	adoptedTo int      // reps covered by cache adoption (no re-Put needed)
+	controls [][]float64 // per-rep control vectors (CV campaigns only)
+	// sum holds the buffers the stopping rule reduces target metrics in.
+	sum       scenario.Summarizer
+	adoptedTo int // reps covered by cache adoption (no re-Put needed)
 	finished  bool
 	result    PointResult
 }
@@ -128,42 +123,30 @@ func repSchedule(s Spec, engine string) []int {
 	return sched
 }
 
-// converged evaluates the campaign's targets against a point's
-// accumulated metrics. A single-sample accumulator never converges
+// converged evaluates the campaign's targets against the intervals the
+// point publishes at its current count (MetricSummary.Interval): the
+// CV-adjusted interval where a fit applied, which is where the
+// simulated-rep savings come from, the plain one otherwise. rep, when
+// non-nil, is that count's report, already built; otherwise only the
+// target metrics are reduced. A single-sample point never converges
 // (its CI is vacuously zero), except for the deterministic model
 // engine, whose schedule is pinned to one evaluation anyway.
-func (ps *pointState) converged(s Spec) bool {
-	if !s.Adaptive() {
-		return true
-	}
-	if ps.point.Spec.Engine == scenario.EngineModel {
+func (ps *pointState) converged(s Spec, rep *scenario.Report) bool {
+	if !s.Adaptive() || ps.point.Spec.Engine == scenario.EngineModel {
 		return true
 	}
 	for _, tg := range s.Targets {
-		mi := -1
-		for i, n := range ps.names {
-			if n == tg.Metric {
-				mi = i
-				break
-			}
+		var ms *scenario.MetricSummary
+		if rep != nil {
+			ms = metricSummary(rep, tg.Metric)
+		} else if mi := metricIndex(ps.perRep[0], tg.Metric); mi >= 0 {
+			m := ps.sum.Metric(ps.perRep, ps.controls, mi, ps.point.Spec.VarianceReduction)
+			ms = &m
 		}
-		if mi < 0 {
-			return false // unreachable: Compile checked target names
+		if ms == nil || ms.Summary.N < 2 {
+			return false // a missing metric is unreachable: Compile checked target names
 		}
-		acc := ps.accs[mi]
-		if acc.N() < 2 {
-			return false
-		}
-		hw, mean := acc.CI95(), acc.Mean()
-		if ps.paired != nil && ps.paired[mi] != nil {
-			// Adaptive stopping consumes the reduced interval: a point
-			// whose CV-adjusted half-width already meets the goal stops
-			// there, which is where the simulated-rep savings come from.
-			// A declined fit (pilot sample, weak correlation) mirrors the
-			// raw interval, so gated points stop exactly like plain ones.
-			est := ps.paired[mi].Estimate(ps.point.Spec.CVOpts())
-			hw, mean = est.CI95, est.Mean
-		}
+		mean, hw := ms.Interval()
 		switch {
 		case tg.CI > 0:
 			if hw > tg.CI {
@@ -176,6 +159,17 @@ func (ps *pointState) converged(s Spec) bool {
 		}
 	}
 	return true
+}
+
+// metricIndex returns the position of the named metric in a
+// replication's canonical metric order (-1 when absent).
+func metricIndex(metrics []scenario.Metric, name string) int {
+	for i, m := range metrics {
+		if m.Name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // Run executes a compiled campaign: every grid point runs its
@@ -210,13 +204,17 @@ func Run(c *Compiled, opts Opts) (*Report, error) {
 		}
 	}
 	pointsDone := 0
-	finish := func(ps *pointState, reps int, conv bool) error {
+	// finish closes a point at reps; rep is the report at that count
+	// when the round already built one for the cache.
+	finish := func(ps *pointState, reps int, conv bool, rep *scenario.Report) error {
 		key, err := scenario.Fingerprint(ps.point.Spec, reps)
 		if err != nil {
 			return err // unreachable: the spec compiled already
 		}
 		ps.finished = true
-		rep := ps.buildReport(reps)
+		if rep == nil {
+			rep = ps.buildReport(reps)
+		}
 		ps.result = PointResult{
 			Index:     ps.point.Index,
 			Labels:    ps.point.Labels,
@@ -325,16 +323,18 @@ func Run(c *Compiled, opts Opts) (*Report, error) {
 			// a rerun of this campaign find every batch in cache. A batch
 			// fully adopted from cache is already there under this very
 			// key; re-encoding it would be pure waste.
+			var rep *scenario.Report
 			if opts.Cache != nil && ps.adoptedTo < target {
 				key, err := scenario.Fingerprint(ps.point.Spec, target)
 				if err != nil {
 					return nil, err
 				}
-				opts.Cache.Put(key, ps.buildReport(target))
+				rep = ps.buildReport(target)
+				opts.Cache.Put(key, rep)
 			}
-			conv := ps.converged(c.Spec)
+			conv := ps.converged(c.Spec, rep)
 			if conv || ps.step == len(ps.schedule)-1 {
-				if err := finish(ps, target, conv); err != nil {
+				if err := finish(ps, target, conv, rep); err != nil {
 					return nil, err
 				}
 				continue
@@ -355,8 +355,8 @@ func Run(c *Compiled, opts Opts) (*Report, error) {
 
 // cacheUsable sanity-checks a cached report before adoption: one point,
 // the right replication count, per-rep metrics present — and, for
-// control-variate points, the control vectors, without which adoption
-// could not continue the paired accumulators into later batches.
+// control-variate points, the control vectors, without which the CV
+// reduction could not continue into later batches.
 func cacheUsable(rep *scenario.Report, reps int, cv bool) bool {
 	if rep == nil || rep.Reps != reps || len(rep.Points) != 1 ||
 		len(rep.Points[0].PerRep) != reps || len(rep.Points[0].Seeds) != reps {
@@ -365,65 +365,22 @@ func cacheUsable(rep *scenario.Report, reps int, cv bool) bool {
 	return !cv || len(rep.Points[0].Controls) == reps
 }
 
-// addRep folds one freshly simulated replication into the state.
+// addRep appends one freshly simulated replication to the state.
 func (ps *pointState) addRep(seed uint64, metrics []scenario.Metric, controls []float64) {
 	ps.seeds = append(ps.seeds, seed)
 	ps.perRep = append(ps.perRep, metrics)
 	if ps.cv() {
 		ps.controls = append(ps.controls, controls)
 	}
-	ps.fold(metrics, controls)
 }
 
-// adopt replaces the state's sample with a cached one. The overlap is
-// bit-identical by construction (same seeds, deterministic engines), so
-// accumulators are rebuilt only for the new tail.
+// adopt replaces the state's sample with a cached one (controls is nil
+// for plain points). The overlap is bit-identical by construction: same
+// seeds, deterministic engines.
 func (ps *pointState) adopt(seeds []uint64, perRep [][]scenario.Metric, controls [][]float64) {
-	from := len(ps.perRep)
 	ps.seeds = append([]uint64(nil), seeds...)
 	ps.perRep = append([][]scenario.Metric(nil), perRep...)
-	if ps.cv() {
-		ps.controls = append([][]float64(nil), controls...)
-	}
-	for i, m := range perRep[from:] {
-		var c []float64
-		if ps.cv() {
-			c = controls[from+i]
-		}
-		ps.fold(m, c)
-	}
-}
-
-// fold updates the per-metric accumulators with one replication.
-func (ps *pointState) fold(metrics []scenario.Metric, controls []float64) {
-	if ps.names == nil {
-		ps.names = make([]string, len(metrics))
-		ps.accs = make([]stats.Accumulator, len(metrics))
-		for i, m := range metrics {
-			ps.names[i] = m.Name
-		}
-		if ps.cv() {
-			ps.paired = make([]*stats.PairedAccumulator, len(metrics))
-			for i, m := range metrics {
-				if cols := scenario.CVControlColumns(m.Name); len(cols) > 0 {
-					ps.paired[i] = stats.NewPaired(len(cols))
-				}
-			}
-		}
-	}
-	for i, m := range metrics {
-		if i < len(ps.accs) {
-			ps.accs[i].Add(m.Value)
-		}
-		if i < len(ps.paired) && ps.paired[i] != nil && controls != nil {
-			cols := scenario.CVControlColumns(m.Name)
-			row := make([]float64, len(cols))
-			for ci, col := range cols {
-				row[ci] = controls[col]
-			}
-			ps.paired[i].Add(m.Value, row)
-		}
-	}
+	ps.controls = append([][]float64(nil), controls...)
 }
 
 // buildReport renders the first reps replications as the

@@ -4,7 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"maps"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/scenario"
@@ -385,5 +388,154 @@ func TestProgressAndPointDone(t *testing.T) {
 	}
 	if rep.SimulatedReps != 6 {
 		t.Errorf("SimulatedReps = %d, want 6", rep.SimulatedReps)
+	}
+}
+
+// targetsMet reports whether every target's published interval — the
+// CV-adjusted one where a fit applied, the plain summary otherwise —
+// meets its half-width goal in pr.
+func targetsMet(t *testing.T, pr scenario.PointReport, targets []Target) bool {
+	t.Helper()
+	met := true
+	for _, tg := range targets {
+		var ms *scenario.MetricSummary
+		for i := range pr.Metrics {
+			if pr.Metrics[i].Name == tg.Metric {
+				ms = &pr.Metrics[i]
+			}
+		}
+		if ms == nil {
+			t.Fatalf("target metric %s missing from point report", tg.Metric)
+		}
+		mean, hw := ms.Summary.Mean, ms.Summary.CI95
+		if ms.CV != nil && ms.CV.Applied {
+			mean, hw = ms.CV.Mean, ms.CV.CI95
+		}
+		goal := tg.CI
+		if tg.RelCI > 0 {
+			goal = tg.RelCI * math.Abs(mean)
+		}
+		if ms.Summary.N < 2 || hw > goal {
+			met = false
+		}
+	}
+	return met
+}
+
+// checkStopsAtPublishedInterval pins the stopping rule to the bytes a
+// point publishes: Converged holds exactly when every target's
+// published interval meets its goal, a converged point stops at the
+// first schedule step where that holds (the report at each earlier step
+// is the prefix of the final sample), and an unconverged one runs to
+// the cap. It returns how many points converged.
+func checkStopsAtPublishedInterval(t *testing.T, s Spec, rep *Report) int {
+	t.Helper()
+	sched := []int{s.MinReps}
+	for r := s.MinReps; r < s.MaxReps; {
+		r = min(r+s.BatchReps, s.MaxReps)
+		sched = append(sched, r)
+	}
+	converged := 0
+	for _, p := range rep.Points {
+		pr := p.Report.Points[0]
+		if got := targetsMet(t, pr, s.Targets); got != p.Converged {
+			t.Errorf("point %d: converged=%v at %d reps, but its published intervals meet the targets: %v",
+				p.Index, p.Converged, p.Reps, got)
+		}
+		if !p.Converged {
+			if p.Reps != s.MaxReps {
+				t.Errorf("point %d: stopped unconverged at %d reps, want the cap %d", p.Index, p.Reps, s.MaxReps)
+			}
+			continue
+		}
+		converged++
+		for _, r := range sched {
+			if r >= p.Reps {
+				break
+			}
+			var controls [][]float64
+			if pr.Controls != nil {
+				controls = pr.Controls[:r]
+			}
+			early := scenario.SummarizePoint(pr.N, pr.Seeds[:r], pr.PerRep[:r], controls, p.Report.Spec.VarianceReduction)
+			if targetsMet(t, early, s.Targets) {
+				t.Errorf("point %d: targets already met at %d reps, but it ran to %d", p.Index, r, p.Reps)
+			}
+		}
+	}
+	return converged
+}
+
+// TestConvergedMatchesPublishedInterval checks the stopping invariant
+// over plain, control-variate and relative-CI targets, and over cached
+// reruns that adopt every batch or only some.
+func TestConvergedMatchesPublishedInterval(t *testing.T) {
+	mk := func(cv bool, targets ...Target) Spec {
+		base := baseSpec()
+		base.Stations = []scenario.Group{{Count: 1}}
+		if cv {
+			base.VarianceReduction = &scenario.VarianceReduction{Kind: scenario.VRControlVariate}
+		}
+		return Spec{
+			Name:      "stop-rule",
+			Base:      base,
+			Axes:      []Axis{{Path: "n", Values: rawVals(t, 2, 3, 5, 8)}},
+			Targets:   targets,
+			MinReps:   3,
+			MaxReps:   40,
+			BatchReps: 3,
+		}
+	}
+	cases := []struct {
+		name string
+		spec Spec
+	}{
+		{"plain", mk(false, Target{Metric: "collision_pr", CI: 0.007})},
+		{"cv", mk(true, Target{Metric: "norm_throughput", CI: 0.004})},
+		{"rel-ci", mk(false, Target{Metric: "norm_throughput", RelCI: 0.007})},
+		{"cv-two-targets", mk(true, Target{Metric: "collision_pr", CI: 0.008}, Target{Metric: "norm_throughput", RelCI: 0.006})},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := Compile(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cache := newMapCache()
+			first, err := Run(c, Opts{Cache: cache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The targets are set so that both outcomes occur, at
+			// several schedule steps.
+			if conv := checkStopsAtPublishedInterval(t, c.Spec, first); conv == 0 || conv == len(first.Points) {
+				t.Errorf("%d of %d points converged; the case must exercise both outcomes", conv, len(first.Points))
+			}
+
+			// A rerun adopts every batch from the cache; a run against
+			// half the entries adopts some and simulates the rest.
+			rerun, err := Run(c, Opts{Cache: cache, Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rerun.SimulatedReps != 0 {
+				t.Errorf("rerun simulated %d replications, want 0", rerun.SimulatedReps)
+			}
+			checkStopsAtPublishedInterval(t, c.Spec, rerun)
+			partial := newMapCache()
+			for i, k := range slices.Sorted(maps.Keys(cache.m)) {
+				if i%2 == 0 {
+					partial.m[k] = cache.m[k]
+				}
+			}
+			third, err := Run(c, Opts{Cache: partial})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkStopsAtPublishedInterval(t, c.Spec, third)
+			if runJSON(t, first) != runJSON(t, rerun) || runJSON(t, first) != runJSON(t, third) {
+				t.Error("cached reruns differ from the computed run")
+			}
+		})
 	}
 }

@@ -60,7 +60,7 @@ type family struct {
 	fn     func() float64
 
 	mu       sync.Mutex
-	children map[string]renderable // key: joined label values
+	children map[string]renderable // key: childKey(label values)
 	keys     []string              // child keys, kept sorted for rendering
 }
 
@@ -130,7 +130,7 @@ func (f *family) child(values []string, make func(labels string) renderable) ren
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("obs: metric %s: got %d label values for %d labels", f.name, len(values), len(f.labels)))
 	}
-	key := strings.Join(values, "\x00")
+	key := childKey(values)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if c, ok := f.children[key]; ok {
@@ -141,6 +141,21 @@ func (f *family) child(values []string, make func(labels string) renderable) ren
 	f.keys = append(f.keys, key)
 	sort.Strings(f.keys)
 	return c
+}
+
+// childKey joins label values into a map key that cannot collide and
+// sorts like the value vectors: a NUL inside a value becomes NUL 0x01,
+// and values are separated by NUL NUL. (A plain NUL join would merge
+// ("a", "a\x00a") and ("a\x00a", "a") into one child.)
+func childKey(values []string) string {
+	var b strings.Builder
+	for i, v := range values {
+		if i > 0 {
+			b.WriteString("\x00\x00")
+		}
+		b.WriteString(strings.ReplaceAll(v, "\x00", "\x00\x01"))
+	}
+	return b.String()
 }
 
 // renderLabels renders `{name="value",...}` with exposition escaping,

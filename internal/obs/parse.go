@@ -120,24 +120,19 @@ func sampleBelongs(f *ParsedFamily, series string) bool {
 // parseSample parses `name{l="v",…} value`.
 func parseSample(text string) (Sample, error) {
 	s := Sample{}
-	rest := text
-	if i := strings.IndexAny(rest, "{ "); i < 0 {
+	i := strings.IndexAny(text, "{ ")
+	if i < 0 {
 		return s, fmt.Errorf("malformed sample %q", text)
-	} else {
-		s.Name = rest[:i]
-		rest = rest[i:]
 	}
+	s.Name = text[:i]
+	rest := text[i:]
 	if strings.HasPrefix(rest, "{") {
-		end := strings.Index(rest, "}")
-		if end < 0 {
-			return s, fmt.Errorf("unterminated label block in %q", text)
-		}
-		labels, err := parseLabels(rest[1:end])
+		labels, after, err := parseLabels(rest[1:])
 		if err != nil {
 			return s, fmt.Errorf("%v in %q", err, text)
 		}
 		s.Labels = labels
-		rest = rest[end+1:]
+		rest = after
 	}
 	rest = strings.TrimSpace(rest)
 	v, err := parseValue(rest)
@@ -148,14 +143,21 @@ func parseSample(text string) (Sample, error) {
 	return s, nil
 }
 
-// parseLabels parses `a="b",c="d"` (no escapes beyond \\ \" \n, which
-// is all the renderer emits).
-func parseLabels(s string) (map[string]string, error) {
+// parseLabels parses a label block's body `a="b",c="d"}` — the text
+// after its opening brace — and returns the pairs and the text after
+// the closing brace. The closing brace is the first one outside a
+// quoted value: a value may itself contain braces (a route template
+// like /v1/jobs/{id}). Escapes beyond \\ \" \n, which is all the
+// renderer emits, are rejected.
+func parseLabels(s string) (map[string]string, string, error) {
 	out := make(map[string]string)
-	for s != "" {
+	for {
+		if after, ok := strings.CutPrefix(s, "}"); ok {
+			return out, after, nil
+		}
 		eq := strings.Index(s, "=")
-		if eq < 0 || len(s) < eq+2 || s[eq+1] != '"' {
-			return nil, fmt.Errorf("malformed label pair")
+		if eq < 0 || len(s) < eq+2 || s[eq+1] != '"' || !validName(s[:eq], false) {
+			return nil, "", fmt.Errorf("malformed label pair")
 		}
 		name := s[:eq]
 		rest := s[eq+2:]
@@ -173,7 +175,7 @@ func parseLabels(s string) (map[string]string, error) {
 				case 'n':
 					b.WriteByte('\n')
 				default:
-					return nil, fmt.Errorf("unknown escape \\%c", rest[i])
+					return nil, "", fmt.Errorf("unknown escape \\%c", rest[i])
 				}
 				continue
 			}
@@ -183,13 +185,16 @@ func parseLabels(s string) (map[string]string, error) {
 			b.WriteByte(c)
 		}
 		if i == len(rest) {
-			return nil, fmt.Errorf("unterminated label value")
+			return nil, "", fmt.Errorf("unterminated label value")
 		}
 		out[name] = b.String()
 		s = rest[i+1:]
-		s = strings.TrimPrefix(s, ",")
+		if after, ok := strings.CutPrefix(s, ","); ok {
+			s = after
+		} else if !strings.HasPrefix(s, "}") {
+			return nil, "", fmt.Errorf("malformed label block")
+		}
 	}
-	return out, nil
 }
 
 // parseValue parses a sample value, accepting the +Inf/-Inf/NaN

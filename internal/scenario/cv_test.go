@@ -241,12 +241,11 @@ func TestCICoverage(t *testing.T) {
 
 	// Long-run reference mean over 1400 replications on a seed stream
 	// disjoint from every trial's.
-	var ref stats.Accumulator
-	for r := 0; r < 1400; r++ {
-		y, _ := collide(statcheck.Seed(0xeef, r))
-		ref.Add(y)
+	ref := make([]float64, 1400)
+	for r := range ref {
+		ref[r], _ = collide(statcheck.Seed(0xeef, r))
 	}
-	truth := ref.Mean()
+	truth := stats.Summarize(ref).Mean
 
 	const perTrial = 8
 	var plainCov, cvCov statcheck.Coverage

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 
@@ -185,51 +186,85 @@ func ReplicationsOpts(c *Compiled, reps, workers int, opts Options) (*Report, er
 }
 
 // SummarizePoint aggregates one point's replications into a
-// PointReport: the raw per-replication metrics, their seeds, and a
-// mean/stddev/95%-CI summary per metric in the engine's canonical
+// PointReport: the raw per-replication metrics, their seeds, and one
+// Summarizer.Metric reduction per metric in the engine's canonical
 // order. This is the exact reduction Replications applies, exported so
 // that other runners (the campaign engine's adaptive batches) produce
 // byte-identical point reports from the same per-replication values.
-//
-// controls and vr drive the control-variate estimator: when vr requests
-// control_variate and controls carries one vector per replication, each
-// metric with control channels additionally gets a CVEstimate computed
-// by the canonical two-pass stats.SummarizeCV — a pure function of the
-// ordered sample, hence bit-identical between serial and parallel runs.
-// Plain callers pass (nil, nil) and get exactly the historical
-// reduction.
+// Plain callers pass (nil, nil) for controls and vr.
 func SummarizePoint(n int, seeds []uint64, perRep [][]Metric, controls [][]float64, vr *VarianceReduction) PointReport {
 	pr := PointReport{N: n, Seeds: seeds, PerRep: perRep}
-	cvOn := vr != nil && vr.Kind == VRControlVariate && len(controls) == len(perRep)
-	var opts stats.CVOpts
-	if cvOn {
+	if cvApplies(perRep, controls, vr) {
 		pr.Controls = controls
-		opts = stats.CVOpts{PilotReps: vr.PilotReps, MinCorr: vr.MinCorr, MaxBeta: vr.MaxBeta}
 	}
-	first := perRep[0]
-	sample := make([]float64, len(perRep))
-	for mi, m := range first {
-		for r := range perRep {
-			sample[r] = perRep[r][mi].Value
-		}
-		ms := MetricSummary{Name: m.Name, Summary: stats.Summarize(sample)}
-		if cvOn {
-			if cols := CVControlColumns(m.Name); len(cols) > 0 {
-				cs := make([][]float64, len(perRep))
-				for r := range perRep {
-					row := make([]float64, len(cols))
-					for ci, col := range cols {
-						row[ci] = controls[r][col]
-					}
-					cs[r] = row
-				}
-				est := stats.SummarizeCV(sample, cs, opts)
-				ms.CV = &est
-			}
-		}
-		pr.Metrics = append(pr.Metrics, ms)
+	var sz Summarizer
+	for mi := range perRep[0] {
+		pr.Metrics = append(pr.Metrics, sz.Metric(perRep, controls, mi, vr))
 	}
 	return pr
+}
+
+// cvApplies reports whether vr requests control_variate and controls
+// carries one vector per replication.
+func cvApplies(perRep [][]Metric, controls [][]float64, vr *VarianceReduction) bool {
+	return vr != nil && vr.Kind == VRControlVariate && len(controls) == len(perRep)
+}
+
+// A Summarizer reduces one metric of a point's replications at a time.
+// It owns the sample and control buffers the reduction fills, so a
+// caller that reduces the same point round after round (the adaptive
+// campaign's stopping rule) reuses them. The zero value is ready.
+type Summarizer struct {
+	sample []float64
+	rows   [][]float64
+	flat   []float64
+}
+
+// Metric reduces metric mi (an index into each replication's canonical
+// metric order) to its published MetricSummary: the mean/stddev/95%-CI
+// Summary and — when vr requests control_variate, controls carries one
+// vector per replication and the metric has control channels — the
+// CVEstimate of the canonical two-pass stats.SummarizeCV. Both are pure
+// functions of the ordered sample, hence bit-identical between serial
+// and parallel runs.
+func (sz *Summarizer) Metric(perRep [][]Metric, controls [][]float64, mi int, vr *VarianceReduction) MetricSummary {
+	sz.sample = slices.Grow(sz.sample[:0], len(perRep))
+	for _, rep := range perRep {
+		sz.sample = append(sz.sample, rep[mi].Value)
+	}
+	name := perRep[0][mi].Name
+	ms := MetricSummary{Name: name, Summary: stats.Summarize(sz.sample)}
+	if !cvApplies(perRep, controls, vr) {
+		return ms
+	}
+	cols := CVControlColumns(name)
+	if len(cols) == 0 {
+		return ms
+	}
+	sz.rows = slices.Grow(sz.rows[:0], len(controls))
+	sz.flat = slices.Grow(sz.flat[:0], len(controls)*len(cols))
+	for _, c := range controls {
+		for _, col := range cols {
+			sz.flat = append(sz.flat, c[col])
+		}
+	}
+	for r := range controls {
+		sz.rows = append(sz.rows, sz.flat[r*len(cols):(r+1)*len(cols)])
+	}
+	est := stats.SummarizeCV(sz.sample, sz.rows, stats.CVOpts{PilotReps: vr.PilotReps, MinCorr: vr.MinCorr, MaxBeta: vr.MaxBeta})
+	ms.CV = &est
+	return ms
+}
+
+// Interval returns the (mean, 95% CI half-width) pair the metric
+// publishes: the control-variate estimate when a fit applied, the plain
+// sample summary otherwise. Every table cell and the adaptive stopping
+// rule read this one pair.
+func (m *MetricSummary) Interval() (mean, ci95 float64) {
+	if m.CV != nil && m.CV.Applied {
+		return m.CV.Mean, m.CV.CI95
+	}
+	return m.Summary.Mean, m.Summary.CI95
 }
 
 // Write renders the report as aligned plain text: a header describing

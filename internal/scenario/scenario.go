@@ -383,17 +383,6 @@ func (s Spec) CVEnabled() bool {
 	return s.VarianceReduction != nil && s.VarianceReduction.Kind == VRControlVariate
 }
 
-// CVOpts converts the spec's variance-reduction block into the stats
-// package's estimator options (zero value when the block is absent —
-// the stats layer fills its own defaults either way).
-func (s Spec) CVOpts() stats.CVOpts {
-	v := s.VarianceReduction
-	if v == nil {
-		return stats.CVOpts{}
-	}
-	return stats.CVOpts{PilotReps: v.PilotReps, MinCorr: v.MinCorr, MaxBeta: v.MaxBeta}
-}
-
 func (s Spec) validateGroup(gi int, g Group) error {
 	at := func(format string, args ...any) error {
 		return fmt.Errorf("scenario %s: stations[%d]: %s", s.Name, gi, fmt.Sprintf(format, args...))

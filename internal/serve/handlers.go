@@ -196,13 +196,24 @@ func decodeSpecRequest(w http.ResponseWriter, r *http.Request) (spec scenario.Sp
 	return spec, req, true
 }
 
+// maxBodyBytes caps a POST body. Every shipped spec and campaign is a
+// few KiB, so 1 MiB only bounds what one request can make the daemon
+// buffer.
+const maxBodyBytes = 1 << 20
+
 // decodeBody strictly decodes a JSON request body into v (unknown
-// fields rejected), writing the 400 itself on failure.
+// fields rejected), writing the error itself on failure: 413 for a
+// body over maxBodyBytes, 400 otherwise.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decode request: %w", err))
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("serve: decode request: %w", err))
 		return false
 	}
 	return true

@@ -98,25 +98,26 @@ func TestControlMeansZero(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			accs := make([]stats.Accumulator, NumControls)
+			samples := make([][]float64, NumControls)
 			for r := 0; r < tc.reps; r++ {
 				in := controlTestInputs(tc.n, tc.simTime, tc.errProb, statcheck.Seed(0x1901, r))
 				res := runWith(t, in, true, nil)
 				for j, c := range res.Controls {
-					accs[j].Add(c)
+					samples[j] = append(samples[j], c)
 				}
 			}
-			for j, a := range accs {
-				if a.StdDev() == 0 {
+			for j, xs := range samples {
+				a := stats.Summarize(xs)
+				if a.StdDev == 0 {
 					// Degenerate channel (frame errors on an error-free
 					// spec): every control must be exactly zero.
-					if a.Mean() != 0 {
-						t.Errorf("control %q constant but nonzero: %v", ControlNames[j], a.Mean())
+					if a.Mean != 0 {
+						t.Errorf("control %q constant but nonzero: %v", ControlNames[j], a.Mean)
 					}
 					continue
 				}
-				se := a.StdDev() / math.Sqrt(float64(a.N()))
-				statcheck.AssertUnbiased(t, "control "+ControlNames[j], a.Mean(), se, 0, 4.5)
+				se := a.StdDev / math.Sqrt(float64(a.N))
+				statcheck.AssertUnbiased(t, "control "+ControlNames[j], a.Mean, se, 0, 4.5)
 			}
 		})
 	}
@@ -127,7 +128,7 @@ func TestControlMeansZero(t *testing.T) {
 func TestControlMeansZeroHeterogeneous(t *testing.T) {
 	base := DefaultInputs(3)
 	per := []config.Params{config.DefaultCA1(), config.DefaultCA1(), config.Default1901(config.CA3)}
-	accs := make([]stats.Accumulator, NumControls)
+	samples := make([][]float64, NumControls)
 	const reps = 300
 	for r := 0; r < reps; r++ {
 		in := base
@@ -136,15 +137,16 @@ func TestControlMeansZeroHeterogeneous(t *testing.T) {
 		in.Seed = statcheck.Seed(0x4e7, r)
 		res := runWith(t, in, true, nil)
 		for j, c := range res.Controls {
-			accs[j].Add(c)
+			samples[j] = append(samples[j], c)
 		}
 	}
-	for j, a := range accs {
-		if a.StdDev() == 0 {
+	for j, xs := range samples {
+		a := stats.Summarize(xs)
+		if a.StdDev == 0 {
 			continue
 		}
-		se := a.StdDev() / math.Sqrt(float64(a.N()))
-		statcheck.AssertUnbiased(t, "control "+ControlNames[j], a.Mean(), se, 0, 4.5)
+		se := a.StdDev / math.Sqrt(float64(a.N))
+		statcheck.AssertUnbiased(t, "control "+ControlNames[j], a.Mean, se, 0, 4.5)
 	}
 }
 

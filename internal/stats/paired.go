@@ -81,73 +81,6 @@ type CVEstimate struct {
 	VarReduction float64 `json:"var_reduction"`
 }
 
-// PairedAccumulator extends Accumulator to a sample paired with K
-// control observations per value: alongside the metric's Welford
-// moments it maintains the control means, the metric–control
-// co-moments and the control co-moment matrix. It exists for the
-// adaptive-replication loop, whose stopping rule needs the
-// control-variate CI95 in O(1) per added replication; the canonical
-// published estimate still comes from the two-pass SummarizeCV over the
-// full sample, mirroring the Accumulator/Summarize split.
-type PairedAccumulator struct {
-	y     Accumulator
-	k     int
-	meanC []float64
-	syc   []float64 // Σ(y−ȳ)(cⱼ−c̄ⱼ)
-	scc   []float64 // Σ(cᵢ−c̄ᵢ)(cⱼ−c̄ⱼ), row-major k×k, symmetric
-}
-
-// NewPaired returns an empty accumulator over k controls (k ≥ 1).
-func NewPaired(k int) *PairedAccumulator {
-	if k < 1 {
-		panic(fmt.Sprintf("stats: NewPaired(%d): need at least one control", k))
-	}
-	return &PairedAccumulator{
-		k:     k,
-		meanC: make([]float64, k),
-		syc:   make([]float64, k),
-		scc:   make([]float64, k*k),
-	}
-}
-
-// Add folds one (value, controls) pair into the accumulator.
-//
-//plclint:noalloc
-func (p *PairedAccumulator) Add(y float64, c []float64) {
-	if len(c) != p.k {
-		panic(fmt.Sprintf("stats: PairedAccumulator.Add: %d controls, want %d", len(c), p.k))
-	}
-	nOld := float64(p.y.N())
-	n := nOld + 1
-	f := nOld / n
-	dy := y - p.y.Mean()
-	for j := 0; j < p.k; j++ {
-		dcj := c[j] - p.meanC[j]
-		p.syc[j] += dy * dcj * f
-		for i := 0; i <= j; i++ {
-			dci := c[i] - p.meanC[i]
-			v := dci * dcj * f
-			p.scc[i*p.k+j] += v
-			if i != j {
-				p.scc[j*p.k+i] += v
-			}
-		}
-	}
-	for j := 0; j < p.k; j++ {
-		p.meanC[j] += (c[j] - p.meanC[j]) / n
-	}
-	p.y.Add(y)
-}
-
-// Estimate computes the control-variate estimate from the accumulated
-// moments. Like Accumulator.CI95 it answers in O(k³) independent of n,
-// which is what the adaptive stopping rule consumes; the canonical
-// published bytes come from SummarizeCV over the full ordered sample
-// (the two agree to within float rounding).
-func (p *PairedAccumulator) Estimate(opts CVOpts) CVEstimate {
-	return cvFromMoments(p.y.N(), p.y.Mean(), p.y.m2, p.meanC, p.syc, p.scc, p.k, opts)
-}
-
 // SummarizeCV reduces a paired sample with a canonical two-pass moment
 // computation: ys[r] is the metric at replication r, cs[r] its control
 // vector (all the same length ≥ 1). This is the published form of the
@@ -202,7 +135,7 @@ func SummarizeCV(ys []float64, cs [][]float64, opts CVOpts) CVEstimate {
 	return cvFromMoments(n, meanY, syy, meanC, syc, scc, k, opts)
 }
 
-// cvFromMoments is the shared estimator core: the regression-adjusted
+// cvFromMoments is the estimator core: the regression-adjusted
 // mean ȳ − β̂ᵀc̄ for zero-expectation controls, from centered sums.
 //
 // β̂ solves S_CC β = S_YC over the active controls (those with positive

@@ -19,65 +19,6 @@ func gauss(src *rng.Source) float64 {
 	return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
 }
 
-func relClose(x, y, tol float64) bool {
-	return math.Abs(x-y) <= tol*(1+math.Abs(x)+math.Abs(y))
-}
-
-// --- PairedAccumulator ---
-
-func TestNewPairedValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewPaired(0) accepted")
-		}
-	}()
-	NewPaired(0)
-}
-
-func TestPairedAddLengthPanics(t *testing.T) {
-	p := NewPaired(2)
-	defer func() {
-		if recover() == nil {
-			t.Error("Add with wrong control count accepted")
-		}
-	}()
-	p.Add(1, []float64{1})
-}
-
-// The online paired moments must match the two-pass SummarizeCV
-// computation on the same sample: same estimate decision, same mean,
-// same CI to within rounding.
-func TestPairedEstimateMatchesSummarizeCV(t *testing.T) {
-	src := rng.New(0xcafe)
-	for trial := 0; trial < 100; trial++ {
-		n := 2 + src.Intn(30)
-		k := 1 + src.Intn(3)
-		ys := make([]float64, n)
-		cs := make([][]float64, n)
-		p := NewPaired(k)
-		for r := 0; r < n; r++ {
-			c := make([]float64, k)
-			var y float64
-			for j := range c {
-				c[j] = gauss(src)
-				y += c[j]
-			}
-			y += 0.5 * gauss(src)
-			ys[r], cs[r] = y, c
-			p.Add(y, c)
-		}
-		want := SummarizeCV(ys, cs, CVOpts{})
-		got := p.Estimate(CVOpts{})
-		if got.Applied != want.Applied || got.K != want.K {
-			t.Fatalf("trial %d: decision mismatch: online %+v vs two-pass %+v", trial, got, want)
-		}
-		if !relClose(got.Mean, want.Mean, 1e-9) || !relClose(got.CI95, want.CI95, 1e-9) ||
-			!relClose(got.VarReduction, want.VarReduction, 1e-9) {
-			t.Fatalf("trial %d: estimate mismatch: online %+v vs two-pass %+v", trial, got, want)
-		}
-	}
-}
-
 // --- estimator behavior ---
 
 // Known-answer check: with a single control and correlation ρ, OLS gives

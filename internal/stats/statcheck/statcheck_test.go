@@ -109,12 +109,13 @@ func gauss(src *rng.Source) float64 {
 func coverageAtN(n int, crit float64, trials int) Coverage {
 	return Run(trials, 0xc0ffee, func(i int, seed uint64) bool {
 		src := rng.New(seed)
-		var a stats.Accumulator
-		for j := 0; j < n; j++ {
-			a.Add(gauss(src))
+		xs := make([]float64, n)
+		for j := range xs {
+			xs[j] = gauss(src)
 		}
-		half := crit * a.StdDev() / math.Sqrt(float64(n))
-		return math.Abs(a.Mean()) <= half
+		a := stats.Summarize(xs)
+		half := crit * a.StdDev / math.Sqrt(float64(n))
+		return math.Abs(a.Mean) <= half
 	})
 }
 

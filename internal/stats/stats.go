@@ -89,62 +89,6 @@ func (s Summary) String() string {
 	return fmt.Sprintf("%.6g ± %.2g [%.6g, %.6g] (n=%d)", s.Mean, s.CI95, s.Min, s.Max, s.N)
 }
 
-// Accumulator is an incremental summary of a growing sample: Welford's
-// online algorithm for the mean and second central moment. It exists
-// for the adaptive-replication loop, which checks a confidence-interval
-// target after every replication batch — an Accumulator answers in O(1)
-// per added value instead of re-summarizing the whole sample.
-//
-// Note the float caveat: Welford's streaming variance and Summarize's
-// two-pass variance agree to within rounding, not bit for bit. The
-// canonical Summary a report publishes therefore still comes from
-// Summarize over the full sample; the Accumulator drives stopping
-// decisions, which only need the moments, not canonical bytes.
-type Accumulator struct {
-	n    int
-	mean float64
-	m2   float64 // Σ(x − mean)², maintained incrementally
-}
-
-// Add folds one value into the accumulator.
-//
-//plclint:noalloc
-func (a *Accumulator) Add(x float64) {
-	a.n++
-	if a.n == 1 {
-		a.mean, a.m2 = x, 0
-		return
-	}
-	d := x - a.mean
-	a.mean += d / float64(a.n)
-	a.m2 += d * (x - a.mean)
-}
-
-// N returns the number of values accumulated.
-func (a Accumulator) N() int { return a.n }
-
-// Mean returns the running mean (0 when empty).
-func (a Accumulator) Mean() float64 { return a.mean }
-
-// StdDev returns the sample standard deviation (n−1 denominator; 0 for
-// fewer than two values).
-func (a Accumulator) StdDev() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	return math.Sqrt(a.m2 / float64(a.n-1))
-}
-
-// CI95 returns the half-width of the 95% confidence interval of the
-// mean under the same Student-t critical values Summarize uses (0 for
-// fewer than two values).
-func (a Accumulator) CI95() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	return TCrit95(a.n-1) * a.StdDev() / math.Sqrt(float64(a.n))
-}
-
 // Mean returns the arithmetic mean (0 for empty input).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -185,53 +185,3 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// Property: an Accumulator fed a sample one value at a time agrees with
-// the two-pass Summarize to within rounding on every statistic, and its
-// CI uses the same Student-t critical values.
-func TestAccumulatorMatchesSummarize(t *testing.T) {
-	f := func(raw []int16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		var a Accumulator
-		for i, r := range raw {
-			xs[i] = float64(r) / 7
-			a.Add(xs[i])
-		}
-		want := Summarize(xs)
-		if a.N() != want.N {
-			return false
-		}
-		close := func(x, y float64) bool {
-			return math.Abs(x-y) <= 1e-9*(1+math.Abs(x)+math.Abs(y))
-		}
-		return close(a.Mean(), want.Mean) && close(a.StdDev(), want.StdDev) && close(a.CI95(), want.CI95)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAccumulatorStudentT(t *testing.T) {
-	var a Accumulator
-	for _, x := range []float64{1, 2, 3} {
-		a.Add(x)
-	}
-	// n = 3 → t(0.975, 2) = 4.303, not the normal 1.96.
-	want := 4.303 * a.StdDev() / math.Sqrt(3)
-	if math.Abs(a.CI95()-want) > 1e-12 {
-		t.Errorf("CI95 = %v, want %v (Student-t at df=2)", a.CI95(), want)
-	}
-	if a.CI95() == 0 {
-		t.Error("CI95 = 0 for a 3-value sample")
-	}
-}
-
-func TestAccumulatorEmpty(t *testing.T) {
-	var a Accumulator
-	if a.N() != 0 || a.Mean() != 0 || a.StdDev() != 0 || a.CI95() != 0 {
-		t.Errorf("zero Accumulator not zero-valued: %+v", a)
-	}
-}
