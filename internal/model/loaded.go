@@ -234,6 +234,17 @@ const (
 	andersonDrop = 1e-8
 )
 
+// MaxEvaluations bounds the map evaluations SolveLoaded spends on each
+// priority class of at most k groups at the default Options: the
+// accelerated attempt, its stability check (one evaluation per free
+// coordinate, at most 2k) and the plain damped iteration. Each
+// evaluation runs Stage once per backoff stage of every group in the
+// class, an O(cw) loop, which is what makes a static cost bound of a
+// solve possible.
+func MaxEvaluations(k int) int {
+	return andersonBudget + 2*k + Options{}.withDefaults().MaxIterations
+}
+
 // solveFixedPoint is the one decoupling iteration behind every solver.
 // Its map G(τ, a) sends each group's attempt rate τ to the renewal-
 // reward τ (tauGivenSucc) against the busy probability γ composed from

@@ -86,7 +86,8 @@ type MacStation struct {
 }
 
 // Compile validates and normalizes the spec and lowers it onto the
-// engine it targets.
+// engine it targets. A model-engine spec whose worst-case solve exceeds
+// modelStepCap is rejected here, before any solve starts.
 func Compile(s Spec) (*Compiled, error) {
 	norm, err := s.Normalized()
 	if err != nil {
@@ -99,7 +100,6 @@ func Compile(s Spec) (*Compiled, error) {
 			return nil, err
 		}
 		c.Points = []Point{p}
-		return c, nil
 	}
 	for _, n := range norm.SweepN {
 		g := norm.Stations[0] // Validate pinned sweeps to one group
@@ -110,7 +110,44 @@ func Compile(s Spec) (*Compiled, error) {
 		}
 		c.Points = append(c.Points, p)
 	}
+	if norm.Engine == EngineModel {
+		if err := checkModelCost(c); err != nil {
+			return nil, err
+		}
+	}
 	return c, nil
+}
+
+// modelStepCap bounds the worst-case work of a model-engine spec, in
+// iterations of model.Stage's backoff loop: the contention windows
+// summed over every point, group and backoff stage (each map
+// evaluation walks each window once), times the solver's evaluation
+// cap (about 10⁴). A converging solve needs far fewer evaluations: a
+// spec at the cap solved in about 0.1 s (2-vCPU Xeon, go1.24). The
+// simulators need no such bound: their work scales with sim_time_us and
+// the station count, which a spec states in plain terms, and served
+// jobs run under deadlines.
+const modelStepCap = 1e9
+
+// checkModelCost rejects a model spec whose windows make its
+// worst-case solve exceed modelStepCap.
+func checkModelCost(c *Compiled) error {
+	var windows, steps float64
+	for _, p := range c.Points {
+		var w float64
+		for _, g := range p.ModelPlan.Groups {
+			for _, cw := range g.Params.CW {
+				w += float64(cw)
+			}
+		}
+		windows += w
+		steps += w * float64(model.MaxEvaluations(len(p.ModelPlan.Groups)))
+	}
+	if steps > modelStepCap {
+		return fmt.Errorf("scenario %s: \"cw\" windows too wide for the model engine: they sum to %.6g over points, groups and stages, a worst-case solve of %.3g backoff steps, above the %.0e cap",
+			c.Spec.Name, windows, steps, float64(modelStepCap))
+	}
+	return nil
 }
 
 // compilePoint lowers one operating point (an expanded group list).

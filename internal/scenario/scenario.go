@@ -63,6 +63,9 @@ const (
 	// defaultFrameMicros is the frame payload duration in µs when the
 	// spec leaves frame_us unset (the paper's 2050 µs payload).
 	defaultFrameMicros = 2050
+	// defaultTsMicros is the success duration in µs when the spec
+	// leaves ts_us unset (the paper's 2542.64 µs).
+	defaultTsMicros = 2542.64
 	// defaultPBsPerMPDU is the physical-block count per MPDU the mac
 	// engine assumes when a group leaves pbs_per_mpdu unset.
 	defaultPBsPerMPDU = 4
@@ -308,6 +311,9 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("scenario %s: %q = %v must be a positive finite duration (or omitted)", s.Name, d.name, d.v)
 		}
 	}
+	if frame := s.frameMicros(); frame > s.tsMicros() {
+		return fmt.Errorf("scenario %s: %s", s.Name, s.frameExceedsTs(frame))
+	}
 	if len(s.Stations) == 0 {
 		return fmt.Errorf("scenario %s: \"stations\" must declare at least one group", s.Name)
 	}
@@ -431,7 +437,34 @@ func (s Spec) validateGroup(gi int, g Group) error {
 	if g.FrameMicros != 0 && !finitePositive(g.FrameMicros) {
 		return at("\"frame_us\" = %v must be a positive finite duration (or omitted)", g.FrameMicros)
 	}
+	if g.FrameMicros > s.tsMicros() {
+		return at("%s", s.frameExceedsTs(g.FrameMicros))
+	}
 	return nil
+}
+
+// frameMicros and tsMicros are the spec-wide frame payload and success
+// durations, defaults applied.
+func (s Spec) frameMicros() float64 {
+	if s.FrameMicros == 0 {
+		return defaultFrameMicros
+	}
+	return s.FrameMicros
+}
+
+func (s Spec) tsMicros() float64 {
+	if s.TsMicros == 0 {
+		return defaultTsMicros
+	}
+	return s.TsMicros
+}
+
+// frameExceedsTs explains the cross-field rule frame_us ≤ ts_us: the
+// payload is part of a successful transmission, so a frame longer than
+// the success duration would put more payload on the medium than time
+// (a normalized throughput above 1, or +Inf near the float range).
+func (s Spec) frameExceedsTs(frame float64) string {
+	return fmt.Sprintf("\"frame_us\" = %v exceeds \"ts_us\" = %v: the payload must fit inside a successful transmission", frame, s.tsMicros())
 }
 
 // needsMac returns a human-readable reason the spec requires the
@@ -479,10 +512,7 @@ func (s Spec) modelUnsupported() []string {
 	// normalization writes out explicitly; it changes no physics, so a
 	// normalized mac spec re-aimed at the model (the compare path) must
 	// stay expressible. Only framing that deviates is event-driven.
-	frame := s.FrameMicros
-	if frame == 0 {
-		frame = defaultFrameMicros
-	}
+	frame := s.frameMicros()
 	for gi, g := range s.Stations {
 		if g.BurstMPDUs > 1 {
 			why = append(why, fmt.Sprintf("stations[%d]'s burst of %d MPDUs (the model rates one frame per transmission)", gi, g.BurstMPDUs))
@@ -522,12 +552,8 @@ func (s Spec) Normalized() (Spec, error) {
 	if out.TcMicros == 0 {
 		out.TcMicros = 2920.64
 	}
-	if out.TsMicros == 0 {
-		out.TsMicros = 2542.64
-	}
-	if out.FrameMicros == 0 {
-		out.FrameMicros = defaultFrameMicros
-	}
+	out.TsMicros = s.tsMicros()
+	out.FrameMicros = s.frameMicros()
 	if v := s.VarianceReduction; v == nil || v.Kind == "" || v.Kind == VRNone {
 		// A disabled block normalizes away entirely: present-but-off is
 		// the same regime as absent, and must canonicalize (and

@@ -125,6 +125,12 @@ func TestInvalidSpecs(t *testing.T) {
 		{"sim cannot poisson", `{"name": "x", "engine": "sim", "sim_time_us": 1e6, "stations": [{"count": 1, "traffic": {"kind": "poisson", "mean_interarrival_us": 10}}]}`, `engine "sim" cannot express`},
 		{"sim cannot beacon", `{"name": "x", "engine": "sim", "sim_time_us": 1e6, "beacon_period_us": 1000, "stations": [{"count": 1}]}`, `cannot express beacons`},
 		{"unknown field", `{"name": "x", "sim_time_us": 1e6, "stations": [{"count": 1, "cww": [8]}]}`, `unknown field`},
+		{"frame over default ts", `{"name": "x", "sim_time_us": 1e6, "frame_us": 5000, "stations": [{"count": 2}]}`, `"frame_us" = 5000 exceeds "ts_us" = 2542.64`},
+		{"frame near the float range", `{"name": "x", "sim_time_us": 1e6, "frame_us": 1e308, "stations": [{"count": 2}]}`, `"frame_us" = 1e+308 exceeds "ts_us"`},
+		{"default frame over ts", `{"name": "x", "sim_time_us": 1e6, "ts_us": 1000, "stations": [{"count": 2}]}`, `"frame_us" = 2050 exceeds "ts_us" = 1000`},
+		{"group frame over ts", `{"name": "x", "engine": "mac", "sim_time_us": 1e6, "stations": [{"count": 1}, {"count": 1, "frame_us": 3000}]}`, `stations[1]: "frame_us" = 3000 exceeds "ts_us" = 2542.64`},
+		{"model window over the cost cap", `{"name": "x", "engine": "model", "sim_time_us": 1e6, "stations": [{"count": 2, "cw": [8, 1000000], "dc": [0, 1]}]}`, `"cw" windows too wide for the model engine`},
+		{"model sweep over the cost cap", `{"name": "x", "engine": "model", "sim_time_us": 1e6, "sweep_n": [` + strings.Repeat("2, ", 999) + `2], "stations": [{"count": 1, "cw": [8, 100], "dc": [0, 1]}]}`, `"cw" windows too wide`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -243,5 +249,44 @@ func TestExampleScenarios(t *testing.T) {
 		if _, err := Compile(spec); err != nil {
 			t.Errorf("%s: %v", p, err)
 		}
+	}
+}
+
+// TestFrameFitsSuccessDuration pins the accepting side of the rule
+// frame_us ≤ ts_us: a frame as long as the success duration, a longer
+// success duration carrying a longer frame, and short per-group mac
+// framing all compile.
+func TestFrameFitsSuccessDuration(t *testing.T) {
+	for _, spec := range []Spec{
+		{Name: "equal", SimTimeMicros: 1e6, FrameMicros: defaultTsMicros, Stations: []Group{{Count: 2}}},
+		{Name: "long-ts", SimTimeMicros: 1e6, TsMicros: 6000, FrameMicros: 5000, Stations: []Group{{Count: 2}}},
+		{Name: "mac-group", Engine: EngineMac, SimTimeMicros: 1e6, TsMicros: 4000, Stations: []Group{{Count: 1, FrameMicros: 3000}, {Count: 1, FrameMicros: 150}}},
+	} {
+		if _, err := Compile(spec); err != nil {
+			t.Errorf("%s: %v", spec.Name, err)
+		}
+	}
+}
+
+// TestModelCostBound: the bound rejects only model specs. The widest
+// shapes the benchmarks draw (three hetero groups of 256-slot windows)
+// stay far below it, and a simulator spec with the same huge window as
+// a rejected model spec still compiles: its cost is sim_time_us.
+func TestModelCostBound(t *testing.T) {
+	wide := []int{32, 64, 128, 256}
+	deferral := []int{1, 2, 4, 8}
+	hetero := Spec{Name: "hetero", Engine: EngineModel, SimTimeMicros: 5e7, Stations: []Group{
+		{Count: 5, CW: wide, DC: deferral}, {Count: 5, CW: wide, DC: deferral}, {Count: 5, CW: wide, DC: deferral},
+	}}
+	if _, err := Compile(hetero); err != nil {
+		t.Fatal(err)
+	}
+	huge := Spec{Name: "huge", SimTimeMicros: 1e5, Stations: []Group{{Count: 2, CW: []int{8, 1000000}, DC: []int{0, 1}}}}
+	if _, err := Compile(huge); err != nil {
+		t.Errorf("sim spec: %v", err)
+	}
+	huge.Engine = EngineModel
+	if _, err := Compile(huge); err == nil || !strings.Contains(err.Error(), `"cw"`) {
+		t.Errorf("model spec: %v, want the cost bound naming \"cw\"", err)
 	}
 }

@@ -91,7 +91,9 @@ func TestRequestBodyCap(t *testing.T) {
 // FuzzRequestBodies drives the three POST routes with arbitrary bytes.
 // Every answer must be one of the statuses the API documents for a
 // submission, carry a JSON body, and no input may panic the handler.
-// The worker is held, so accepted jobs never simulate.
+// The worker is held, so accepted jobs never simulate. /v1/predict is
+// deterministic in the bytes: the same body posted again gets the same
+// status and body, and a 200 comes back as a cache hit.
 func FuzzRequestBodies(f *testing.F) {
 	spec := `{"name":"fz","sim_time_us":1e6,"stations":[{"count":2}]}`
 	for _, body := range []string{
@@ -122,6 +124,16 @@ func FuzzRequestBodies(f *testing.F) {
 		}
 		if !json.Valid(rec.Body.Bytes()) {
 			t.Fatalf("POST %s %q: %d with non-JSON body %q", path, body, rec.Code, rec.Body)
+		}
+		if path != "/v1/predict" {
+			return
+		}
+		again := post(h, path, body)
+		if again.Code != rec.Code || !bytes.Equal(again.Body.Bytes(), rec.Body.Bytes()) {
+			t.Fatalf("POST %s %q twice: %d %q, then %d %q", path, body, rec.Code, rec.Body, again.Code, again.Body)
+		}
+		if again.Code == http.StatusOK && again.Header().Get("X-Cache") != "hit" {
+			t.Fatalf("POST %s %q twice: the second 200 is X-Cache %q, want hit", path, body, again.Header().Get("X-Cache"))
 		}
 	})
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"container/list"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -21,17 +22,19 @@ import (
 	"repro/internal/obs"
 )
 
-// entry is one cached result: the verbatim JSON bytes the /result
-// endpoint serves (bit-identical across hits) and the CLI-identical
-// text rendering.
+// entry is one cached result: the verbatim envelope JSON the /result
+// endpoint serves (bit-identical across hits). The CLI-identical text
+// rendering lives inside it and is derived on demand (resultText).
 type entry struct {
 	key  string
 	json []byte
-	text string
+	// body is the SHA-256 of the /v1/predict request body aliased to
+	// this entry in the memory tier; zero when none (see cache.bodies).
+	body [sha256.Size]byte
 }
 
 // size is the entry's resident-memory charge against the byte budget.
-func (e entry) size() int { return len(e.json) + len(e.text) }
+func (e entry) size() int { return len(e.json) }
 
 // The disk tier is a set of append-only segment files, seg-<n>, one per
 // cache instance that stored something. Each stored result is one
@@ -100,8 +103,16 @@ type cache struct {
 	dir      string
 	faults   *Faults    // nil in production (test-only write-failure injection)
 	dropOnce sync.Once  // first dropped disk write is logged, later ones suppressed
-	ll       *list.List // front = most recently used; values are entry
+	ll       *list.List // front = most recently used; values are *entry
 	items    map[string]*list.Element
+	// bodies aliases the SHA-256 of a /v1/predict request body to the
+	// resident entry it was answered with, so a byte-identical re-ask
+	// skips decoding, compiling and fingerprinting. An entry holds at
+	// most one alias (its body field); eviction and re-aliasing delete
+	// the slot, so the map is bounded by the entry count. Identical
+	// bytes decode to the identical spec, hence the identical key, so an
+	// alias never points at another study's result. Never persisted.
+	bodies map[[sha256.Size]byte]*list.Element
 
 	// writeSeconds times each disk-tier append; nil until the server
 	// wires its metrics in.
@@ -146,7 +157,8 @@ type cache struct {
 // read-only -cache-dir fails server startup loudly instead of silently
 // running without persistence) and indexes every other segment.
 func newCache(max, maxBytes int, dir string, faults *Faults) (*cache, error) {
-	c := &cache{max: max, maxBytes: maxBytes, dir: dir, faults: faults, ll: list.New(), items: make(map[string]*list.Element)}
+	c := &cache{max: max, maxBytes: maxBytes, dir: dir, faults: faults, ll: list.New(),
+		items: make(map[string]*list.Element), bodies: make(map[[sha256.Size]byte]*list.Element)}
 	if dir == "" {
 		return c, nil
 	}
@@ -276,7 +288,7 @@ func (c *cache) get(key string) (e entry, disk, ok bool) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
-		e := el.Value.(entry)
+		e := *el.Value.(*entry)
 		c.mu.Unlock()
 		return e, false, true
 	}
@@ -292,6 +304,37 @@ func (c *cache) get(key string) (e entry, disk, ok bool) {
 	c.insertLocked(e)
 	c.mu.Unlock()
 	return e, true, true
+}
+
+// getBody returns the resident entry aliased to a request body's
+// SHA-256, refreshing it like get. The disk tier holds no aliases.
+func (c *cache) getBody(sum [sha256.Size]byte) (entry, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.bodies[sum]
+	if !ok {
+		return entry{}, false
+	}
+	c.ll.MoveToFront(el)
+	return *el.Value.(*entry), true
+}
+
+// aliasBody aliases a request body's SHA-256 to key's resident entry,
+// replacing the entry's previous alias. A key no longer resident gets
+// none.
+func (c *cache) aliasBody(sum [sha256.Size]byte, key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return
+	}
+	e := el.Value.(*entry)
+	if e.body != ([sha256.Size]byte{}) {
+		delete(c.bodies, e.body)
+	}
+	e.body = sum
+	c.bodies[sum] = el
 }
 
 // put stores a computed entry in both tiers: insert, then persist.
@@ -320,21 +363,26 @@ func (c *cache) persist(e entry) {
 // either budget (count or bytes) is exceeded — but always keeping the
 // newest entry, so even an oversized result serves its immediate
 // resubmissions. A concurrent insert of the same key (two goroutines
-// faulting the same record in) collapses to a refresh. c.mu must be
-// held.
+// faulting the same record in) collapses to a refresh, which keeps the
+// entry's alias: equal keys name bit-identical results. An evicted
+// entry takes its alias with it. c.mu must be held.
 func (c *cache) insertLocked(e entry) {
 	if el, ok := c.items[e.key]; ok {
 		c.ll.MoveToFront(el)
-		c.bytes += e.size() - el.Value.(entry).size()
-		el.Value = e
+		old := el.Value.(*entry)
+		c.bytes += e.size() - old.size()
+		old.json = e.json
 		return
 	}
-	c.items[e.key] = c.ll.PushFront(e)
+	c.items[e.key] = c.ll.PushFront(&e)
 	c.bytes += e.size()
 	for c.ll.Len() > 1 && (c.ll.Len() > c.max || c.bytes > c.maxBytes) {
 		el := c.ll.Back()
-		old := el.Value.(entry)
+		old := el.Value.(*entry)
 		delete(c.items, old.key)
+		if old.body != ([sha256.Size]byte{}) {
+			delete(c.bodies, old.body)
+		}
 		c.bytes -= old.size()
 		c.ll.Remove(el)
 	}
@@ -347,7 +395,7 @@ func (c *cache) insertLocked(e entry) {
 // miss, never trusted. Scenario results and campaign results share the
 // key/text envelope, so one loader serves both kinds; the full payload
 // is kept verbatim, which is what preserves byte-identity across
-// restarts.
+// restarts (its text is derived on demand, like a computed entry's).
 func (c *cache) loadDisk(key string) (entry, bool) {
 	c.imu.Lock()
 	loc, ok := c.index[maphash.String(c.seed, key)]
@@ -378,13 +426,12 @@ func (c *cache) loadDisk(key string) (entry, bool) {
 	}
 	data := body[klen:]
 	var env struct {
-		Key  string `json:"key"`
-		Text string `json:"text"`
+		Key string `json:"key"`
 	}
 	if err := json.Unmarshal(data, &env); err != nil || env.Key != key {
 		return entry{}, false
 	}
-	return entry{key: key, json: data, text: env.Text}, true
+	return entry{key: key, json: data}, true
 }
 
 // storeDisk appends one result to this instance's segment with a

@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -177,11 +180,11 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// decodeSpecRequest reads a SubmitRequest body and parses its spec,
+// decodeSpecRequest decodes a SubmitRequest body and parses its spec,
 // writing the 400 itself on any failure (ok=false). Shared by the
 // submit and predict handlers so the two surfaces cannot drift.
-func decodeSpecRequest(w http.ResponseWriter, r *http.Request) (spec scenario.Spec, req SubmitRequest, ok bool) {
-	if !decodeBody(w, r, &req) {
+func decodeSpecRequest(w http.ResponseWriter, body []byte) (spec scenario.Spec, req SubmitRequest, ok bool) {
+	if !decodeJSON(w, body, &req) {
 		return scenario.Spec{}, req, false
 	}
 	if len(req.Spec) == 0 {
@@ -201,26 +204,40 @@ func decodeSpecRequest(w http.ResponseWriter, r *http.Request) (spec scenario.Sp
 // buffer.
 const maxBodyBytes = 1 << 20
 
-// decodeBody strictly decodes a JSON request body into v (unknown
-// fields rejected), writing the error itself on failure: 413 for a
-// body over maxBodyBytes, 400 otherwise.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+// readBody reads a whole POST body, writing the error itself on
+// failure: 413 for a body over maxBodyBytes, 400 otherwise.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			status = http.StatusRequestEntityTooLarge
 		}
 		writeError(w, status, fmt.Errorf("serve: decode request: %w", err))
+		return nil, false
+	}
+	return body, true
+}
+
+// decodeJSON strictly decodes a request body's first JSON value into v
+// (unknown fields rejected), writing the 400 itself on failure.
+func decodeJSON(w http.ResponseWriter, body []byte, v any) bool {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decode request: %w", err))
 		return false
 	}
 	return true
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, req, ok := decodeSpecRequest(w, r)
+	body, ok := readBody(w, r)
+	if !ok {
+		return
+	}
+	spec, req, ok := decodeSpecRequest(w, body)
 	if !ok {
 		return
 	}
@@ -273,12 +290,32 @@ func (s *Server) writeSubmitted(w http.ResponseWriter, j *Job, cached, coalesced
 // byte-identical, since both paths share one cache entry — and
 // ?format=text returns the `sim1901 -scenario -engine model` rendering.
 // An X-Cache header reports hit/miss.
+//
+// A body the server already answered is recognized by its SHA-256
+// before any decoding: the memory tier aliases it to the entry it was
+// answered with. Only a body whose full path answered 200 gets an
+// alias, so a body that fails to decode, validate or solve goes down
+// the full path, and gets the same 400, every time.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	spec, _, ok := decodeSpecRequest(w, r)
+	body, ok := readBody(w, r)
 	if !ok {
 		return
 	}
-	data, text, cached, err := s.Predict(spec)
+	sum := sha256.Sum256(body)
+	if ent, ok := s.cache.getBody(sum); ok {
+		if err := s.predictHit(false); err != nil {
+			writeError(w, http.StatusServiceUnavailable, err)
+			return
+		}
+		s.metrics.predictBodyHits.Inc()
+		writePredict(w, r, ent.json, true)
+		return
+	}
+	spec, _, ok := decodeSpecRequest(w, body)
+	if !ok {
+		return
+	}
+	ent, cached, err := s.predictEntry(spec)
 	switch {
 	case errors.Is(err, ErrClosed):
 		writeError(w, http.StatusServiceUnavailable, err)
@@ -287,12 +324,32 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	s.cache.aliasBody(sum, ent.key)
+	writePredict(w, r, ent.json, cached)
+}
+
+// writePredict answers a prediction: the result JSON, or with
+// ?format=text the CLI rendering it carries.
+func writePredict(w http.ResponseWriter, r *http.Request, data []byte, cached bool) {
 	w.Header().Set("X-Cache", xCache(cached))
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write([]byte(text))
+	if wantText(r) {
+		writeText(w, resultText(data))
 		return
 	}
+	writeRaw(w, data)
+}
+
+// wantText reports whether a result request asks for ?format=text.
+func wantText(r *http.Request) bool { return r.URL.Query().Get("format") == "text" }
+
+// writeText serves a result's text rendering.
+func writeText(w http.ResponseWriter, text string) {
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	io.WriteString(w, text)
+}
+
+// writeRaw serves a result's verbatim JSON bytes.
+func writeRaw(w http.ResponseWriter, data []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(data)
 }
@@ -320,8 +377,12 @@ type CampaignRequest struct {
 // response mirrors POST /v1/jobs; an X-Cache header reports whether
 // the whole campaign was answered from the result cache.
 func (s *Server) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
+	body, ok := readBody(w, r)
+	if !ok {
+		return
+	}
 	var req CampaignRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeJSON(w, body, &req) {
 		return
 	}
 	if len(req.Campaign) == 0 {
@@ -420,14 +481,13 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusConflict, st)
 		return
 	}
-	data, text, _ := j.Result()
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write([]byte(text))
+	if wantText(r) {
+		_, text, _ := j.Result()
+		writeText(w, text)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
+	data, _ := j.resultBytes()
+	writeRaw(w, data)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {

@@ -114,7 +114,7 @@ type envelope[R any] struct {
 }
 
 // encodeResult renders a report into a cache entry: the verbatim
-// envelope JSON served for the result and the CLI-identical text.
+// envelope JSON served for the result, CLI-identical text included.
 func encodeResult[R interface{ Write(io.Writer) error }](key string, rep R) (entry, error) {
 	var buf bytes.Buffer
 	if err := rep.Write(&buf); err != nil {
@@ -124,7 +124,22 @@ func encodeResult[R interface{ Write(io.Writer) error }](key string, rep R) (ent
 	if err != nil {
 		return entry{}, fmt.Errorf("serve: marshal result: %w", err)
 	}
-	return entry{key: key, json: append(data, '\n'), text: buf.String()}, nil
+	return entry{key: key, json: append(data, '\n')}, nil
+}
+
+// resultText returns the CLI text rendering a result envelope carries.
+// Text is the envelope's last field, so only that string literal is
+// decoded, not the report before it (a fifth of the cost). A quote
+// inside a JSON string is always escaped, so the last `,"text":` of
+// the document is the envelope's own key. Every cached envelope was
+// marshaled by encodeResult, or read back CRC-checked by loadDisk.
+func resultText(data []byte) string {
+	const field = `,"text":`
+	var text string
+	if i := bytes.LastIndex(data, []byte(field)); i >= 0 {
+		_ = json.Unmarshal(bytes.TrimRight(data[i+len(field):], "}\n"), &text) // always a valid string literal, see above
+	}
+	return text
 }
 
 // Status is a point-in-time job snapshot (the /v1/jobs and
@@ -212,7 +227,6 @@ type Job struct {
 	replayed    bool
 	batched     bool   // first progress batch already trace-marked
 	result      []byte // verbatim response bytes of /result (terminal Done)
-	text        string // CLI-identical text rendering (terminal Done)
 	errMsg      string
 	cancel      context.CancelFunc
 }
@@ -263,14 +277,20 @@ func (j *Job) statusLocked() Status {
 }
 
 // Result returns the verbatim response bytes and text rendering of a
-// Done job (ok=false otherwise).
+// Done job (ok=false otherwise). The text is derived from the bytes.
 func (j *Job) Result() (jsonBytes []byte, text string, ok bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateDone {
+	data, ok := j.resultBytes()
+	if !ok {
 		return nil, "", false
 	}
-	return j.result, j.text, true
+	return data, resultText(data), true
+}
+
+// resultBytes returns the verbatim response bytes of a Done job.
+func (j *Job) resultBytes() ([]byte, bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.result, j.state == StateDone
 }
 
 // Cancel requests cancellation: a queued job will be skipped by the
@@ -374,7 +394,7 @@ func (j *Job) finish(state State, ent *entry, errMsg string) {
 	j.errMsg = errMsg
 	j.trace.Mark(string(state))
 	if ent != nil {
-		j.result, j.text = ent.json, ent.text
+		j.result = ent.json
 		j.done = j.total
 	}
 	if j.cancel != nil {
@@ -399,7 +419,7 @@ func (j *Job) completeFromCache(ent entry) {
 	j.state = StateDone
 	j.cached = true
 	j.trace.Mark(string(StateDone))
-	j.result, j.text = ent.json, ent.text
+	j.result = ent.json
 	j.total, j.pointsTotal = j.totalReps, j.totalPoints
 	j.done, j.pointsDone = j.total, j.pointsTotal
 	j.cond.Broadcast()

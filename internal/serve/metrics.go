@@ -26,6 +26,7 @@ type metrics struct {
 	campaignPointHits *obs.Counter
 	predictions       *obs.Counter
 	predictCacheHits  *obs.Counter
+	predictBodyHits   *obs.Counter
 	predictCoalesced  *obs.Counter
 	finished          *obs.CounterVec // jobs_finished_total{kind,state}
 	panics            *obs.Counter
@@ -81,6 +82,8 @@ func newMetrics(s *Server) *metrics {
 		"Synchronous /v1/predict calls answered.")
 	m.predictCacheHits = r.NewCounter("plcsrv_predict_cache_hits_total",
 		"Predictions served from the result cache without solving.")
+	m.predictBodyHits = r.NewCounter("plcsrv_predict_body_hits_total",
+		"Predictions answered by their request body's hash, before any decoding (a subset of predict cache hits).")
 	m.predictCoalesced = r.NewCounter("plcsrv_predict_coalesced_total",
 		"Prediction cache misses that attached to an identical in-flight solve.")
 	m.finished = r.NewCounterVec("plcsrv_jobs_finished_total",

@@ -568,34 +568,38 @@ func (s *Server) admit(sub submission, timeout time.Duration) (job *Job, cached,
 // entries and the bit-identical guarantee. Concurrent misses of the
 // same key coalesce onto one solve: the first becomes the leader, the
 // rest wait on its flight and return its bytes (counted as
-// predict_coalesced). Errors: validation errors (specs the analytic
-// model cannot express), ErrClosed.
+// predict_coalesced). The text is derived from the bytes. Errors:
+// validation errors (specs the analytic model cannot express),
+// ErrClosed.
 func (s *Server) Predict(spec scenario.Spec) (resultJSON []byte, text string, cached bool, err error) {
+	ent, cached, err := s.predictEntry(spec)
+	if err != nil {
+		return nil, "", false, err
+	}
+	return ent.json, resultText(ent.json), cached, nil
+}
+
+// predictEntry is Predict returning the cache entry, key included.
+func (s *Server) predictEntry(spec scenario.Spec) (ent entry, cached bool, err error) {
 	spec.Engine = scenario.EngineModel
 	compiled, err := scenario.Compile(spec)
 	if err != nil {
-		return nil, "", false, err
+		return entry{}, false, err
 	}
 	key, err := scenario.Fingerprint(spec, 1)
 	if err != nil {
-		return nil, "", false, err
+		return entry{}, false, err
 	}
-	ent, disk, hit := s.cache.get(key)
+	if ent, disk, hit := s.cache.get(key); hit {
+		return ent, true, s.predictHit(disk)
+	}
 
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, "", false, ErrClosed
+		return entry{}, false, ErrClosed
 	}
 	s.metrics.predictions.Inc()
-	if hit {
-		s.metrics.predictCacheHits.Inc()
-		if disk {
-			s.metrics.diskCacheHits.Inc()
-		}
-		s.mu.Unlock()
-		return ent.json, ent.text, true, nil
-	}
 	if fl, ok := s.predict[key]; ok {
 		// An identical solve is in flight; wait for its result instead
 		// of solving again. The leader's outcome (entry or error) is
@@ -603,10 +607,7 @@ func (s *Server) Predict(spec scenario.Spec) (resultJSON []byte, text string, ca
 		s.metrics.predictCoalesced.Inc()
 		s.mu.Unlock()
 		<-fl.done
-		if fl.err != nil {
-			return nil, "", false, fl.err
-		}
-		return fl.ent.json, fl.ent.text, false, nil
+		return fl.ent, false, fl.err
 	}
 	fl := &predictFlight{done: make(chan struct{})}
 	s.predict[key] = fl
@@ -623,19 +624,33 @@ func (s *Server) Predict(spec scenario.Spec) (resultJSON []byte, text string, ca
 	}
 	solveStart := obs.Now()
 	rep, err := scenario.Replications(compiled, 1, 1)
-	if err != nil {
-		fl.err = err
-		return nil, "", false, err
+	if err == nil {
+		ent, err = encodeResult(key, rep)
 	}
-	ent, err = encodeResult(key, rep)
 	if err != nil {
 		fl.err = err
-		return nil, "", false, err
+		return entry{}, false, err
 	}
 	s.metrics.predictSolve.Observe(obs.Since(solveStart).Seconds())
 	s.cache.put(ent)
 	fl.ent = ent
-	return ent.json, ent.text, false, nil
+	return ent, false, nil
+}
+
+// predictHit counts a prediction answered from the result cache, or
+// reports ErrClosed once the server is closed.
+func (s *Server) predictHit(disk bool) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
+	s.metrics.predictions.Inc()
+	s.metrics.predictCacheHits.Inc()
+	if disk {
+		s.metrics.diskCacheHits.Inc()
+	}
+	return nil
 }
 
 // SubmitCampaign validates, expands, fingerprints and admits one

@@ -341,6 +341,21 @@ func TestInvalidSubmissions(t *testing.T) {
 	}
 }
 
+// TestJobsRejectFrameOverTs: a frame longer than the success duration
+// is a 400 at admission that names both fields, not a job that runs
+// every replication and then fails to marshal an infinite throughput.
+func TestJobsRejectFrameOverTs(t *testing.T) {
+	s := parkedServer(t, 4)
+	rec := post(s.Handler(), "/v1/jobs",
+		[]byte(`{"spec":{"name":"inf","sim_time_us":1e6,"frame_us":1e308,"stations":[{"count":2}]},"reps":3}`))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `frame_us\" = 1e+308 exceeds \"ts_us`) {
+		t.Fatalf("POST /v1/jobs: %d %s, want a 400 naming frame_us and ts_us", rec.Code, rec.Body)
+	}
+	if len(s.Jobs()) != 0 {
+		t.Error("the rejected spec minted a job")
+	}
+}
+
 // TestDiskPersistence restarts the server on the same cache directory
 // and expects a disk hit with byte-identical result.
 func TestDiskPersistence(t *testing.T) {
@@ -755,12 +770,12 @@ func TestCacheByteBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	big := entry{key: "a", json: []byte(`{"x":1}`), text: "aaa"}
+	big := entry{key: "a", json: []byte(`{"x":1}`)}
 	c.put(big)
 	if c.len() != 1 {
 		t.Fatal("newest entry must survive even when oversized")
 	}
-	c.put(entry{key: "b", json: []byte(`{"y":2}`), text: "bbb"})
+	c.put(entry{key: "b", json: []byte(`{"y":2}`)})
 	if c.len() != 1 {
 		t.Fatalf("byte budget not enforced: %d entries resident", c.len())
 	}
