@@ -45,16 +45,19 @@ bench:
 	@echo "wrote bench-results.json"
 
 # fuzz-smoke gives each scenario/campaign/journal/cache/solver/MME,
-# HTTP-body and exposition-parser fuzzer a short budget — the CI
-# regression net; long exploratory runs raise -fuzztime locally.
-# Journal recovery fsyncs its compacted file on every exec and the
-# cache loader opens three segment directories, so their per-input
-# minimization is capped or it would eat the budget; so is that of
-# FuzzParseText and FuzzRequestBodies, whose seeds are whole
+# HTTP-body and exposition-parser fuzzer, and the spec-run property
+# fuzzer, a short budget — the CI regression net; long exploratory runs
+# raise -fuzztime locally. Journal recovery opens, compacts (fsync,
+# rename, directory fsync) and reopens its file up to three times per
+# exec and the cache loader opens three segment directories, so their
+# per-input minimization is capped or it would eat the budget; so is
+# that of FuzzSpecRun, which runs every engine a spec allows per exec,
+# and of FuzzParseText and FuzzRequestBodies, whose seeds are whole
 # expositions and request bodies that minimize byte by byte.
 fuzz-smoke:
 	go test ./internal/scenario -run=XXX -fuzz=FuzzSpecDecode -fuzztime=15s
 	go test ./internal/scenario -run=XXX -fuzz=FuzzNormalizeIdempotent -fuzztime=15s
+	go test ./internal/scenario -run=XXX -fuzz=FuzzSpecRun -fuzztime=15s -fuzzminimizetime=100x
 	go test ./internal/campaign -run=XXX -fuzz=FuzzCampaignDecode -fuzztime=15s
 	go test ./internal/campaign -run=XXX -fuzz=FuzzCampaignExpand -fuzztime=15s
 	go test ./internal/serve -run=XXX -fuzz=FuzzJournalOpen -fuzztime=15s -fuzzminimizetime=100x

@@ -270,7 +270,12 @@ func TestCampaignCLI(t *testing.T) {
 		t.Errorf("adaptive example rendered %d grid rows, want 5:\n%s", points, aout)
 	}
 
-	// Fail-fast validation, naming the flag or field.
+	// Fail-fast validation, naming the flag or field. A spec file must
+	// hold one JSON value: a second one after it is an error.
+	trailing := filepath.Join(bin, "trailing.json")
+	if err := os.WriteFile(trailing, []byte(`{"name":"t","sim_time_us":1e6,"stations":[{"count":2}]} {"name":"u"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	fails := []struct {
 		args []string
 		want string
@@ -281,6 +286,7 @@ func TestCampaignCLI(t *testing.T) {
 		// -reps explicitly set alongside -campaign must error, not be
 		// silently ignored (the campaign file owns its policy).
 		{[]string{"-campaign", "examples/campaigns/model-cw-grid.json", "-reps", "5"}, "do not apply"},
+		{[]string{"-scenario", trailing}, "trailing data"},
 	}
 	for _, tc := range fails {
 		out, err := exec.Command(path, tc.args...).CombinedOutput()

@@ -125,13 +125,10 @@ func (s Spec) GridSize() int {
 	return n
 }
 
-// Parse decodes a campaign Spec from JSON. Unknown fields are rejected,
-// so typos fail loudly instead of silently reverting to defaults.
+// Parse decodes a campaign Spec from JSON (see scenario.DecodeStrict).
 func Parse(data []byte) (Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	if err := scenario.DecodeStrict(data, &s); err != nil {
 		return Spec{}, fmt.Errorf("campaign: parse: %w", err)
 	}
 	return s, nil
@@ -386,8 +383,13 @@ func (s Spec) Normalized() (Spec, error) {
 			out.BatchReps = out.MinReps
 		}
 		out.Targets = append([]Target(nil), s.Targets...)
-	} else if out.Reps == 0 {
-		out.Reps = defaultReps
+	} else {
+		// An empty target list selects the fixed policy, exactly like
+		// none; dropping it keeps the JSON round trip lossless.
+		out.Targets = nil
+		if out.Reps == 0 {
+			out.Reps = defaultReps
+		}
 	}
 	return out, nil
 }

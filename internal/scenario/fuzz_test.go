@@ -1,10 +1,13 @@
 package scenario
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 )
 
 // seedFromExamples feeds every shipped scenario file into the corpus,
@@ -111,6 +114,67 @@ func FuzzNormalizeIdempotent(f *testing.F) {
 		}
 		if !reflect.DeepEqual(norm, again) {
 			t.Fatalf("Normalized is not idempotent:\nonce:  %+v\ntwice: %+v", norm, again)
+		}
+	})
+}
+
+// FuzzSpecRun asserts that every spec Validate accepts runs, on each
+// engine it allows, to an answer in range: it finishes within a wall
+// budget, every metric is finite and non-negative, and probabilities
+// and normalized throughputs lie in [0, 1]. The harness clamps the
+// simulated horizon to 0.1 s and every station count to 8 so each run
+// stays small; everything else is the fuzzed spec.
+func FuzzSpecRun(f *testing.F) {
+	seedFromExamples(f)
+	const budget = 10 * time.Second
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Parse(data)
+		if err != nil || s.Validate() != nil {
+			return
+		}
+		s.SimTimeMicros = min(s.SimTimeMicros, 1e5)
+		s.Stations = append([]Group(nil), s.Stations...)
+		for i := range s.Stations {
+			s.Stations[i].Count = min(s.Stations[i].Count, 8)
+		}
+		s.SweepN = append([]int(nil), s.SweepN...)
+		for i := range s.SweepN {
+			s.SweepN[i] = min(s.SweepN[i], 8)
+		}
+		for _, engine := range []string{EngineSim, EngineMac, EngineModel} {
+			s.Engine = engine
+			if s.Validate() != nil {
+				continue // not an engine this spec allows
+			}
+			c, err := Compile(s)
+			if err != nil {
+				continue // Compile's static bounds rejected it
+			}
+			done := make(chan error, 1)
+			go func() {
+				for pi, p := range c.Points {
+					metrics, err := RunOnce(p, 1)
+					if err != nil {
+						done <- err
+						return
+					}
+					for _, m := range metrics {
+						bounded := strings.HasPrefix(m.Name, "collision_pr") || strings.Contains(m.Name, "throughput") || m.Name == "quiet_fraction"
+						if math.IsNaN(m.Value) || math.IsInf(m.Value, 0) || m.Value < 0 || (bounded && m.Value > 1) {
+							t.Errorf("engine %s point %d: %s = %v out of range\n%s", engine, pi, m.Name, m.Value, data)
+						}
+					}
+				}
+				done <- nil
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("engine %s: a spec Validate accepts failed to run: %v\n%s", engine, err, data)
+				}
+			case <-time.After(budget):
+				t.Fatalf("engine %s: a spec Validate accepts ran past %v\n%s", engine, budget, data)
+			}
 		}
 	})
 }

@@ -23,7 +23,9 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -221,13 +223,26 @@ type Spec struct {
 	Stations []Group `json:"stations"`
 }
 
-// Parse decodes a Spec from JSON. Unknown fields are rejected, so typos
-// fail loudly instead of silently reverting to defaults.
-func Parse(data []byte) (Spec, error) {
+// DecodeStrict decodes the one JSON value data holds into v. Unknown
+// fields are rejected, so typos fail loudly instead of silently
+// reverting to defaults, and so is anything but whitespace after the
+// value, so one document cannot carry a second.
+func DecodeStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
+}
+
+// Parse decodes a Spec from JSON (see DecodeStrict).
+func Parse(data []byte) (Spec, error) {
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	if err := DecodeStrict(data, &s); err != nil {
 		return Spec{}, fmt.Errorf("scenario: parse: %w", err)
 	}
 	return s, nil
@@ -417,8 +432,10 @@ func (s Spec) validateGroup(gi int, g Group) error {
 				return at("\"mean_interarrival_us\" is only meaningful for poisson traffic")
 			}
 		case TrafficPoisson:
-			if !finitePositive(g.Traffic.MeanInterarrivalMicros) {
-				return at("poisson traffic needs \"mean_interarrival_us\" > 0, got %v", g.Traffic.MeanInterarrivalMicros)
+			if m := g.Traffic.MeanInterarrivalMicros; !finitePositive(m) {
+				return at("poisson traffic needs \"mean_interarrival_us\" > 0, got %v", m)
+			} else if m < minInterarrivalMicros {
+				return at("\"mean_interarrival_us\" = %v is below the %d µs floor", m, minInterarrivalMicros)
 			}
 		default:
 			return at("unknown traffic kind %q (want %q, %q or %q)",
@@ -442,6 +459,14 @@ func (s Spec) validateGroup(gi int, g Group) error {
 	}
 	return nil
 }
+
+// minInterarrivalMicros is the shortest mean Poisson inter-arrival
+// time a spec may ask for. The event-driven MAC draws every arrival,
+// so its cost grows as the mean shrinks, and below the resolution of
+// the simulated clock the arrival time stops advancing at all (a mean
+// of 1e-308 µs never finished). One microsecond, the clock's unit, is
+// far below any arrival rate a contention domain can serve.
+const minInterarrivalMicros = 1
 
 // frameMicros and tsMicros are the spec-wide frame payload and success
 // durations, defaults applied.

@@ -115,6 +115,7 @@ func TestInvalidSpecs(t *testing.T) {
 		{"cw/dc length mismatch", `{"name": "x", "sim_time_us": 1e6, "stations": [{"count": 1, "cw": [8, 16], "dc": [0]}]}`, `same length`},
 		{"bad priority", `{"name": "x", "sim_time_us": 1e6, "stations": [{"count": 1, "priority": "CA9"}]}`, `unknown priority class`},
 		{"poisson without mean", `{"name": "x", "sim_time_us": 1e6, "stations": [{"count": 1, "traffic": {"kind": "poisson"}}]}`, `"mean_interarrival_us" > 0`},
+		{"poisson mean below the clock", `{"name": "x", "engine": "mac", "sim_time_us": 1e6, "stations": [{"count": 1, "traffic": {"kind": "poisson", "mean_interarrival_us": 1e-308}}]}`, `"mean_interarrival_us" = 1e-308 is below the 1 µs floor`},
 		{"mean on saturated", `{"name": "x", "sim_time_us": 1e6, "stations": [{"count": 1, "traffic": {"mean_interarrival_us": 10}}]}`, `only meaningful for poisson`},
 		{"bad traffic kind", `{"name": "x", "sim_time_us": 1e6, "stations": [{"count": 1, "traffic": {"kind": "bursty"}}]}`, `unknown traffic kind "bursty"`},
 		{"error prob out of range", `{"name": "x", "sim_time_us": 1e6, "stations": [{"count": 1, "error_prob": 1.5}]}`, `"error_prob" = 1.5 outside [0, 1]`},
@@ -125,6 +126,8 @@ func TestInvalidSpecs(t *testing.T) {
 		{"sim cannot poisson", `{"name": "x", "engine": "sim", "sim_time_us": 1e6, "stations": [{"count": 1, "traffic": {"kind": "poisson", "mean_interarrival_us": 10}}]}`, `engine "sim" cannot express`},
 		{"sim cannot beacon", `{"name": "x", "engine": "sim", "sim_time_us": 1e6, "beacon_period_us": 1000, "stations": [{"count": 1}]}`, `cannot express beacons`},
 		{"unknown field", `{"name": "x", "sim_time_us": 1e6, "stations": [{"count": 1, "cww": [8]}]}`, `unknown field`},
+		{"second document", `{"name": "x", "sim_time_us": 1e6, "stations": [{"count": 1}]} {"name": "y"}`, `trailing data`},
+		{"trailing garbage", `{"name": "x", "sim_time_us": 1e6, "stations": [{"count": 1}]} garbage`, `trailing data`},
 		{"frame over default ts", `{"name": "x", "sim_time_us": 1e6, "frame_us": 5000, "stations": [{"count": 2}]}`, `"frame_us" = 5000 exceeds "ts_us" = 2542.64`},
 		{"frame near the float range", `{"name": "x", "sim_time_us": 1e6, "frame_us": 1e308, "stations": [{"count": 2}]}`, `"frame_us" = 1e+308 exceeds "ts_us"`},
 		{"default frame over ts", `{"name": "x", "sim_time_us": 1e6, "ts_us": 1000, "stations": [{"count": 2}]}`, `"frame_us" = 2050 exceeds "ts_us" = 1000`},

@@ -88,6 +88,34 @@ func TestRequestBodyCap(t *testing.T) {
 	}
 }
 
+// TestTrailingDataRejected: a POST body must hold exactly one JSON
+// value. A valid request followed by garbage, or by a second request,
+// is a 400 on every route — and again a 400 when asked twice, never an
+// alias hit for the bytes.
+func TestTrailingDataRejected(t *testing.T) {
+	s := parkedServer(t, 8)
+	h := s.Handler()
+	spec := `{"name":"trailing","sim_time_us":1e6,"stations":[{"count":2}]}`
+	camp := `{"name":"trailing","base":` + spec + `,"axes":[{"path":"n","values":[1,2]}],"reps":2}`
+	for path, bodies := range map[string][]string{
+		"/v1/jobs":      {`{"spec":` + spec + `} trailing garbage`, `{"spec":` + spec + `,"reps":2}{"spec":1}`},
+		"/v1/predict":   {`{"spec":` + spec + `} trailing garbage`, `{"spec":` + spec + `,"reps":2}{"spec":1}`},
+		"/v1/campaigns": {`{"campaign":` + camp + `} trailing garbage`, `{"campaign":` + camp + `}{"campaign":1}`},
+	} {
+		for _, body := range bodies {
+			for ask := 0; ask < 2; ask++ {
+				rec := post(h, path, []byte(body))
+				if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "trailing data") {
+					t.Errorf("POST %s %q (ask %d): %d %s, want 400 naming the trailing data", path, body, ask+1, rec.Code, rec.Body)
+				}
+			}
+		}
+	}
+	if c, _ := s.Stats(); c.Predictions != 0 || c.Submissions != 0 {
+		t.Errorf("bodies with trailing data were served: %+v", c)
+	}
+}
+
 // FuzzRequestBodies drives the three POST routes with arbitrary bytes.
 // Every answer must be one of the statuses the API documents for a
 // submission, carry a JSON body, and no input may panic the handler.

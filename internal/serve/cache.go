@@ -3,13 +3,10 @@ package serve
 import (
 	"container/list"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/maphash"
-	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -38,55 +35,16 @@ func (e entry) size() int { return len(e.json) }
 
 // The disk tier is a set of append-only segment files, seg-<n>, one per
 // cache instance that stored something. Each stored result is one
-// record, written with a single write:
-//
-//	magic u32 | key length u32 | payload length u32 | CRC-32C u32 | key | payload
-//
-// (little-endian). The CRC covers both lengths, the key and the
-// payload; the payload is the result JSON, byte for byte what /result
-// serves.
+// framed record (see reclog.go) whose key is the result's content
+// address and whose payload is the result JSON, byte for byte what
+// /result serves.
 const (
-	segPrefix  = "seg-"
-	recMagic   = 0x52434c50 // "PLCR"
-	recHeader  = 16
-	maxKeyLen  = 1 << 12
-	maxPayload = 1<<32 - 1
+	segPrefix = "seg-"
 	// An index location packs a segment number (high bits) and a
 	// record offset (low offBits bits) into one uint64.
 	offBits = 40
 	maxOff  = 1<<offBits - 1
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// recordCRC is the checksum a record header carries: over the two
-// lengths (hdr[4:12]) and the key+payload body.
-func recordCRC(hdr, body []byte) uint32 {
-	return crc32.Update(crc32.Update(0, castagnoli, hdr[4:12]), castagnoli, body)
-}
-
-// parseHeader validates a record header's magic and lengths.
-func parseHeader(hdr []byte) (klen, plen int, sum uint32, ok bool) {
-	if binary.LittleEndian.Uint32(hdr) != recMagic {
-		return 0, 0, 0, false
-	}
-	k := binary.LittleEndian.Uint32(hdr[4:])
-	if k == 0 || k > maxKeyLen {
-		return 0, 0, 0, false
-	}
-	return int(k), int(binary.LittleEndian.Uint32(hdr[8:])), binary.LittleEndian.Uint32(hdr[12:]), true
-}
-
-// encodeRecord frames one result as a segment record.
-func encodeRecord(key string, payload []byte) []byte {
-	rec := make([]byte, recHeader, recHeader+len(key)+len(payload))
-	binary.LittleEndian.PutUint32(rec, recMagic)
-	binary.LittleEndian.PutUint32(rec[4:], uint32(len(key)))
-	binary.LittleEndian.PutUint32(rec[8:], uint32(len(payload)))
-	rec = append(append(rec, key...), payload...)
-	binary.LittleEndian.PutUint32(rec[12:], recordCRC(rec[:recHeader], rec[recHeader:]))
-	return rec
-}
 
 // cache is a content-addressed LRU over computed results, optionally
 // persisted to a directory. The memory tier bounds both entry count
@@ -100,9 +58,6 @@ type cache struct {
 	max      int
 	maxBytes int
 	bytes    int
-	dir      string
-	faults   *Faults    // nil in production (test-only write-failure injection)
-	dropOnce sync.Once  // first dropped disk write is logged, later ones suppressed
 	ll       *list.List // front = most recently used; values are *entry
 	items    map[string]*list.Element
 	// bodies aliases the SHA-256 of a /v1/predict request body to the
@@ -128,21 +83,10 @@ type cache struct {
 	segs  []*os.File // by index-location segment number; own is last
 	ends  []int64    // per segment, the end of its last indexed record
 
-	// wmu serializes appends to this instance's own segment. end is the
-	// offset just past the last good record; a failed append truncates
-	// back to it.
-	wmu     sync.Mutex
-	own     *os.File // nil without a dir, and after close
-	ownSeg  int
-	ownPath string
-	end     int64
-
-	// Disk-write failure accounting: consecutive resets on every
-	// successful write, total only grows. Atomics, not c.mu — the
-	// counters are read by /readyz and /v1/stats while writes are in
-	// flight outside the lock.
-	consecDiskFailures atomic.Int64
-	totalDiskFailures  atomic.Int64
+	// wmu serializes appends to this instance's own segment, the
+	// record log own (nil without a dir).
+	wmu sync.Mutex
+	own *recordLog
 
 	// diskOccupancy tracks the disk tier's byte count: the segments'
 	// sizes at open, plus every record appended since. Atomic for the
@@ -157,7 +101,7 @@ type cache struct {
 // read-only -cache-dir fails server startup loudly instead of silently
 // running without persistence) and indexes every other segment.
 func newCache(max, maxBytes int, dir string, faults *Faults) (*cache, error) {
-	c := &cache{max: max, maxBytes: maxBytes, dir: dir, faults: faults, ll: list.New(),
+	c := &cache{max: max, maxBytes: maxBytes, ll: list.New(),
 		items: make(map[string]*list.Element), bodies: make(map[[sha256.Size]byte]*list.Element)}
 	if dir == "" {
 		return c, nil
@@ -183,9 +127,10 @@ func newCache(max, maxBytes int, dir string, faults *Faults) (*cache, error) {
 	}
 	// Another server on the same dir may claim the same number between
 	// the listing and the create; O_EXCL makes the loser move on.
+	c.own = &recordLog{name: "cache", limit: maxOff, faults: faults}
 	for {
-		c.ownPath = filepath.Join(dir, segPrefix+strconv.Itoa(next))
-		c.own, err = os.OpenFile(c.ownPath, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+		c.own.path = filepath.Join(dir, segPrefix+strconv.Itoa(next))
+		c.own.f, err = os.OpenFile(c.own.path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 		if !errors.Is(err, os.ErrExist) {
 			break
 		}
@@ -202,15 +147,13 @@ func newCache(max, maxBytes int, dir string, faults *Faults) (*cache, error) {
 			log.Printf("serve: cache: skipping segment %s: %v", path, err)
 		}
 	}
-	c.ownSeg = len(c.segs)
-	c.segs = append(c.segs, c.own)
+	c.segs = append(c.segs, c.own.f)
 	c.ends = append(c.ends, 0)
 	return c, nil
 }
 
 // indexSegment adds one segment's records to the index, reading only
-// their headers and keys. It stops at the first truncated or malformed
-// record: a crash mid-append leaves at most a torn tail. A segment that
+// their headers and keys, up to the first bad record. A segment that
 // holds no record is not kept open.
 func (c *cache) indexSegment(path string) error {
 	f, err := os.Open(path)
@@ -221,39 +164,20 @@ func (c *cache) indexSegment(path string) error {
 	if err != nil {
 		return errors.Join(err, f.Close())
 	}
-	size := info.Size()
-	c.diskOccupancy.Add(size)
+	c.diskOccupancy.Add(info.Size())
 	seg := uint64(len(c.segs))
-	// One read covers a header and a key of the usual length.
-	buf := make([]byte, recHeader+128)
-	var off int64
-	for off+recHeader <= size && off <= maxOff {
-		n, err := f.ReadAt(buf, off)
-		if n < recHeader || (err != nil && err != io.EOF) {
-			break
-		}
-		klen, plen, _, ok := parseHeader(buf)
-		next := off + recHeader + int64(klen) + int64(plen)
-		if !ok || next > size {
-			break
-		}
-		key := buf[recHeader:n]
-		if klen <= len(key) {
-			key = key[:klen]
-		} else {
-			key = make([]byte, klen)
-			if _, err := f.ReadAt(key, off+recHeader); err != nil {
-				break
-			}
+	end := walkRecords(f, info.Size(), false, func(off int64, key, _ []byte) bool {
+		if off > maxOff {
+			return false
 		}
 		c.index[maphash.Bytes(c.seed, key)] = seg<<offBits | uint64(off)
-		off = next
-	}
-	if off == 0 {
+		return true
+	})
+	if end == 0 {
 		return f.Close()
 	}
 	c.segs = append(c.segs, f)
-	c.ends = append(c.ends, off)
+	c.ends = append(c.ends, end)
 	return nil
 }
 
@@ -262,16 +186,6 @@ func (c *cache) bytesUsed() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bytes
-}
-
-// diskBytes returns the disk tier's byte occupancy (0 without a dir).
-func (c *cache) diskBytes() int64 {
-	return c.diskOccupancy.Load()
-}
-
-// diskFailures snapshots the disk-write failure counters.
-func (c *cache) diskFailures() (consecutive, total int64) {
-	return c.consecDiskFailures.Load(), c.totalDiskFailures.Load()
 }
 
 func (c *cache) len() int {
@@ -293,7 +207,7 @@ func (c *cache) get(key string) (e entry, disk, ok bool) {
 		return e, false, true
 	}
 	c.mu.Unlock()
-	if c.dir == "" {
+	if c.own == nil {
 		return entry{}, false, false
 	}
 	e, ok = c.loadDisk(key)
@@ -350,15 +264,6 @@ func (c *cache) insert(e entry) {
 	c.mu.Unlock()
 }
 
-// persist writes e to the disk tier, when there is one. Like get's
-// disk fault, the write runs outside c.mu so persistence I/O never
-// stalls concurrent memory-tier lookups.
-func (c *cache) persist(e entry) {
-	if c.dir != "" {
-		c.storeDisk(e)
-	}
-}
-
 // insertLocked adds e to the memory tier, evicting LRU entries while
 // either budget (count or bytes) is exceeded — but always keeping the
 // newest entry, so even an oversized result serves its immediate
@@ -390,7 +295,7 @@ func (c *cache) insertLocked(e entry) {
 
 // loadDisk reads and verifies one persisted result. The record is
 // served only when its header, its extent within what the segment held
-// when indexed, its full key and CRC match, and the payload's
+// when indexed, its CRC and its full key match, and the payload's
 // embedded key agrees; a torn, corrupt or hash-colliding record is a
 // miss, never trusted. Scenario results and campaign results share the
 // key/text envelope, so one loader serves both kinds; the full payload
@@ -408,23 +313,10 @@ func (c *cache) loadDisk(key string) (entry, bool) {
 	if f == nil {
 		return entry{}, false
 	}
-	off := int64(loc & maxOff)
-	var hdr [recHeader]byte
-	if _, err := f.ReadAt(hdr[:], off); err != nil {
+	k, data, _, ok := readRecord(f, int64(loc&maxOff), end, true)
+	if !ok || string(k) != key {
 		return entry{}, false
 	}
-	klen, plen, sum, ok := parseHeader(hdr[:])
-	if !ok || klen != len(key) || off+recHeader+int64(klen)+int64(plen) > end {
-		return entry{}, false
-	}
-	body := make([]byte, klen+plen)
-	if _, err := f.ReadAt(body, off+recHeader); err != nil {
-		return entry{}, false
-	}
-	if string(body[:klen]) != key || recordCRC(hdr[:], body) != sum {
-		return entry{}, false
-	}
-	data := body[klen:]
 	var env struct {
 		Key string `json:"key"`
 	}
@@ -434,81 +326,31 @@ func (c *cache) loadDisk(key string) (entry, bool) {
 	return entry{key: key, json: data}, true
 }
 
-// storeDisk appends one result to this instance's segment with a
-// single write. A failed or short write truncates the segment back to
-// its last good record, so it cannot hide later records from the next
-// open. Persistence stays best-effort — the memory tier holds the
-// result either way — but a dropped write is never silent: the first
-// failure is logged (later ones are suppressed, so a full disk cannot
-// flood the log) and every one is counted.
-func (c *cache) storeDisk(e entry) {
-	var injected error
-	if f := c.faults; f != nil && f.DiskCacheWrite != nil {
-		injected = f.DiskCacheWrite(e.key)
-	}
-	var err error
-	if len(e.key) == 0 || len(e.key) > maxKeyLen || int64(len(e.json)) > maxPayload {
-		err = fmt.Errorf("record of %d+%d bytes does not fit the segment format", len(e.key), len(e.json))
-	} else {
-		start := obs.Now() // operational timing only; never feeds results
-		rec := encodeRecord(e.key, e.json)
-		c.wmu.Lock()
-		err = c.appendLocked(e.key, rec, injected)
-		c.wmu.Unlock()
-		if c.writeSeconds != nil {
-			c.writeSeconds.Observe(obs.Since(start).Seconds())
-		}
-		if err == nil {
-			c.diskOccupancy.Add(int64(len(rec)))
-			c.consecDiskFailures.Store(0)
-			return
-		}
-	}
-	c.consecDiskFailures.Add(1)
-	c.totalDiskFailures.Add(1)
-	c.dropOnce.Do(func() {
-		log.Printf("serve: cache: dropping result persistence to %s: %v (memory tier unaffected; further drops suppressed)", c.dir, err)
-	})
-}
-
-// appendLocked writes rec at the end of the own segment and indexes
-// it. An injected fault writes half the record, as a full disk can,
-// and fails. c.wmu must be held.
-func (c *cache) appendLocked(key string, rec []byte, injected error) error {
+// persist appends e to this instance's segment, when there is one,
+// and indexes it. Like get's disk fault, the write runs outside c.mu,
+// so persistence I/O never stalls concurrent memory-tier lookups.
+// Persistence is best-effort — the memory tier holds the result either
+// way — and the segment's log accounts a failed append.
+func (c *cache) persist(e entry) {
 	if c.own == nil {
-		return os.ErrClosed
+		return
 	}
-	off := c.end
-	if off+int64(len(rec)) > maxOff {
-		return fmt.Errorf("segment %s is full", c.ownPath)
-	}
-	var n int
-	var err error
-	if injected != nil {
-		n, err = c.own.WriteAt(rec[:len(rec)/2], off)
-		if err == nil {
-			err = injected
-		}
-	} else {
-		n, err = c.own.WriteAt(rec, off)
+	start := obs.Now() // operational timing only; never feeds results
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	off, err := c.own.append(e.key, e.json, false)
+	if c.writeSeconds != nil {
+		c.writeSeconds.Observe(obs.Since(start).Seconds())
 	}
 	if err != nil {
-		// Writes go at c.end, so the next record overwrites the torn
-		// bytes from their start; the truncate also clears them from a
-		// segment whose next record is shorter, or that gets none.
-		if n > 0 {
-			if terr := c.own.Truncate(off); terr != nil {
-				err = errors.Join(err, terr)
-			}
-		}
-		return err
+		return
 	}
-	c.end = off + int64(len(rec))
+	c.diskOccupancy.Add(c.own.end - off)
 	c.imu.Lock()
-	c.index[maphash.String(c.seed, key)] = uint64(c.ownSeg)<<offBits | uint64(off)
-	c.ends[c.ownSeg] = c.end
+	seg := len(c.segs) - 1 // the own segment is the last
+	c.index[maphash.String(c.seed, e.key)] = uint64(seg)<<offBits | uint64(off)
+	c.ends[seg] = c.own.end
 	c.imu.Unlock()
-	return nil
 }
 
 // close releases the segment files; later lookups miss and later
@@ -516,6 +358,9 @@ func (c *cache) appendLocked(key string, rec []byte, injected error) error {
 // segment, so idle restarts leave no files behind. Safe to call more
 // than once.
 func (c *cache) close() error {
+	if c.own == nil {
+		return nil
+	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.imu.Lock()
@@ -523,12 +368,13 @@ func (c *cache) close() error {
 	c.segs, c.ends = nil, nil
 	c.imu.Unlock()
 	var errs []error
-	for _, f := range segs { // the own segment included
-		errs = append(errs, f.Close())
+	if c.own.f != nil && c.own.end == 0 {
+		errs = append(errs, os.Remove(c.own.path))
 	}
-	if c.own != nil && c.end == 0 {
-		errs = append(errs, os.Remove(c.ownPath))
+	for i, f := range segs {
+		if i != len(segs)-1 { // the own segment closes with its log
+			errs = append(errs, f.Close())
+		}
 	}
-	c.own = nil
-	return errors.Join(errs...)
+	return errors.Join(append(errs, c.own.close())...)
 }

@@ -150,8 +150,8 @@ func TestCacheSegmentTornTail(t *testing.T) {
 func TestCacheFailedAppendTruncates(t *testing.T) {
 	dir := t.TempDir()
 	a, b, d := testEntry(1), testEntry(2), testEntry(3)
-	c := openCache(t, dir, &Faults{DiskCacheWrite: func(key string) error {
-		if key == b.key {
+	c := openCache(t, dir, &Faults{Disk: func(st DiskStep) error {
+		if st.Key == b.key {
 			return errors.New("injected short write")
 		}
 		return nil
@@ -167,7 +167,7 @@ func TestCacheFailedAppendTruncates(t *testing.T) {
 		t.Fatalf("segment after a failed append: %v %v, want %d bytes", info.Size(), err, good.Size())
 	}
 	c.persist(d)
-	if _, total := c.diskFailures(); total != 1 {
+	if _, total := c.own.failures(); total != 1 {
 		t.Fatalf("disk write failures = %d, want 1", total)
 	}
 	if err := c.close(); err != nil {
@@ -276,8 +276,8 @@ func TestDiskCacheWriteHistogram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := mustNew(t, Config{CacheDir: t.TempDir(), faults: &Faults{DiskCacheWrite: func(key string) error {
-		if key == failKey {
+	s := mustNew(t, Config{CacheDir: t.TempDir(), faults: &Faults{Disk: func(st DiskStep) error {
+		if st.Key == failKey {
 			return errors.New("injected disk-cache failure")
 		}
 		return nil

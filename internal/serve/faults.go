@@ -8,23 +8,18 @@ package serve
 // submission; the channel send that admits a job orders that write
 // before any worker read, so the hooks are race-free without a lock.
 //
-// Each hook models one concrete failure the daemon must survive:
-// disk-cache write errors, journal write/fsync errors, a replication
-// that panics, and a replication that stalls past the job deadline.
+// Each hook models one concrete failure the daemon must survive: a
+// durable write, fsync, rename or directory fsync that fails, a
+// replication that panics, and a replication that stalls past the job
+// deadline.
 type Faults struct {
-	// DiskCacheWrite, when non-nil, is consulted before every disk-cache
-	// persistence write; a non-nil error simulates the write failing
-	// partway, as a full disk can: half the record reaches the segment,
-	// then the error (the entry is dropped exactly as a real I/O error
-	// would drop it).
-	DiskCacheWrite func(key string) error
-	// JournalWrite, when non-nil, replaces the journal's record write; a
-	// non-nil error simulates an append failure. The record bytes are
-	// passed so a test can fail selectively.
-	JournalWrite func(record []byte) error
-	// JournalSync, when non-nil, replaces the journal's fsync; a non-nil
-	// error simulates a sync failure after a successful write.
-	JournalSync func() error
+	// Disk, when non-nil, is consulted before every write, fsync,
+	// rename and directory fsync of the job journal and the disk
+	// cache. A non-nil error fails that step as the disk would: a
+	// failing write first writes half its bytes, as a full disk can. A
+	// failed append is truncated back to the log's last good record and
+	// counted, exactly as a real I/O error is.
+	Disk func(DiskStep) error
 	// RepHook, when non-nil, runs inside every job's per-replication
 	// progress path — on the worker-pool goroutines, before progress is
 	// recorded. A hook that panics exercises panic isolation; a hook
@@ -34,4 +29,13 @@ type Faults struct {
 	// registers as the in-flight leader and before it solves — a window
 	// widener for coalescing tests.
 	PredictSolve func()
+}
+
+// DiskStep names one durable step of a record log, as the Disk hook
+// sees it: Log is "journal" or "cache"; Op is "write", "sync",
+// "rename" or "dirsync"; Key is the record's key for an append's write
+// and fsync (a journal record's decimal seq, a result's content
+// address), empty for the steps of a compaction.
+type DiskStep struct {
+	Log, Op, Key string
 }

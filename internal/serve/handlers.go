@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -220,12 +219,10 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	return body, true
 }
 
-// decodeJSON strictly decodes a request body's first JSON value into v
-// (unknown fields rejected), writing the 400 itself on failure.
+// decodeJSON strictly decodes a request body into v (see
+// scenario.DecodeStrict), writing the 400 itself on failure.
 func decodeJSON(w http.ResponseWriter, body []byte, v any) bool {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := scenario.DecodeStrict(body, v); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decode request: %w", err))
 		return false
 	}
@@ -501,16 +498,13 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	c, entries := s.Stats()
-	resp := StatsResponse{
-		Counters:       c,
-		CacheEntries:   entries,
-		CacheBytes:     s.cache.bytesUsed(),
-		DiskCacheBytes: s.cache.diskBytes(),
-	}
-	if s.journal != nil {
-		resp.JournalLiveRecords = s.journal.liveCount()
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, StatsResponse{
+		Counters:           c,
+		CacheEntries:       entries,
+		CacheBytes:         s.cache.bytesUsed(),
+		DiskCacheBytes:     s.cache.diskOccupancy.Load(),
+		JournalLiveRecords: s.journal.liveCount(),
+	})
 }
 
 // handleEvents streams the job's lifecycle as NDJSON, one Event per

@@ -3,18 +3,27 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 )
 
 // journalFile is the write-ahead log's file name inside JournalDir.
-const journalFile = "journal.ndjson"
+// legacyJournalFile is the NDJSON journal of earlier builds, which
+// this one does not read: a JournalDir that still holds one fails
+// startup rather than silently dropping the jobs it owes.
+const (
+	journalFile       = "journal.rec"
+	legacyJournalFile = "journal.ndjson"
+)
 
-// journalRecord is one NDJSON line of the job journal. Two ops:
+// journalRecord is the payload of one journal record, whose key is the
+// record's decimal seq. Two ops:
 //
 //   - "accept": a submission was admitted to the queue. Carries the
 //     study's kind, content address, replication count, effective
@@ -49,13 +58,14 @@ type journalRecord struct {
 	State State `json:"state,omitempty"`
 }
 
-// journal is the append-only NDJSON write-ahead log of accepted jobs.
-// Accepts are fsynced before the submission is acknowledged, so an
-// acknowledged job survives a crash; ends are buffered-write only (the
-// worst a lost end costs is one cache-hit replay). Terminal records
-// are compacted away once enough accumulate: the file is rewritten
-// with only the still-live accepts, so it stays proportional to the
-// in-flight job count, not the submission history.
+// journal is the append-only write-ahead log of accepted jobs, a
+// record log (see reclog.go). Accepts are fsynced before the
+// submission is acknowledged, so an acknowledged job survives a crash;
+// ends are written without fsync (the worst a lost end costs is one
+// cache-hit replay). Terminal records are compacted away once enough
+// accumulate: the file is rewritten with only the still-live accepts,
+// so it stays proportional to the in-flight job count, not the
+// submission history.
 //
 // Durability is best-effort beyond the fsync contract: a journal that
 // starts failing (full disk, revoked permissions) degrades the server
@@ -63,8 +73,7 @@ type journalRecord struct {
 // the first one is logged — but never blocks serving.
 type journal struct {
 	mu   sync.Mutex
-	f    *os.File
-	path string
+	file *recordLog
 	seq  int64
 	// live maps seq → accept record for every journaled job not yet
 	// ended; it is both the replay set at startup and the survivor set
@@ -79,10 +88,6 @@ type journal struct {
 	// compaction; reaching compactEvery triggers one.
 	endsSinceCompact int
 	compactEvery     int
-	consecFailures   int64
-	totalFailures    int64
-	logOnce          sync.Once
-	faults           *Faults
 }
 
 // journalCompactEvery is the default number of terminal records that
@@ -92,70 +97,59 @@ const journalCompactEvery = 256
 
 // openJournal opens (creating if needed) the journal under dir,
 // recovers its state, and returns the records to replay — every accept
-// without a matching end, in seq order. Corrupt trailing data (a crash
-// mid-append) is truncated, not fatal: everything up to the last
-// well-formed record is trusted, the rest is logged and dropped. The
-// recovered file is compacted immediately, which also rewrites away
-// the corrupt tail.
+// without a matching end, in seq order. A record must frame and
+// checksum correctly, carry a well-formed payload and be keyed by its
+// own seq; the first that does not, and all after it, are logged and
+// dropped (see walkRecords), never fatal. The recovered file is
+// compacted at once, which also rewrites away the dropped tail.
 func openJournal(dir string, faults *Faults) (*journal, []journalRecord, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("serve: journal dir %s: %w", dir, err)
 	}
+	if _, err := os.Stat(filepath.Join(dir, legacyJournalFile)); err == nil {
+		return nil, nil, fmt.Errorf("serve: journal dir %s holds %s, an NDJSON journal of an earlier build that this build does not read: "+
+			"drain it with that build (restart it on this dir and let its jobs finish) or remove the file", dir, legacyJournalFile)
+	}
 	l := &journal{
-		path:         filepath.Join(dir, journalFile),
+		file:         &recordLog{name: "journal", path: filepath.Join(dir, journalFile), faults: faults},
 		live:         make(map[int64]journalRecord),
 		earlyEnd:     make(map[int64]State),
 		compactEvery: journalCompactEvery,
-		faults:       faults,
 	}
-	data, err := os.ReadFile(l.path)
+	data, err := os.ReadFile(l.file.path)
 	if err != nil && !os.IsNotExist(err) {
-		return nil, nil, fmt.Errorf("serve: journal %s: %w", l.path, err)
+		return nil, nil, fmt.Errorf("serve: journal %s: %w", l.file.path, err)
 	}
-	good := 0 // bytes covered by well-formed records
-	for off := 0; off < len(data); {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break // partial final line: a crash mid-append
-		}
-		line := data[off : off+nl]
+	good := walkRecords(bytes.NewReader(data), int64(len(data)), true, func(_ int64, key, payload []byte) bool {
 		var rec journalRecord
-		if err := json.Unmarshal(line, &rec); err != nil || !rec.wellFormed() {
-			break // corrupt record: trust nothing at or after it
+		if json.Unmarshal(payload, &rec) != nil || !rec.wellFormed() || string(key) != strconv.FormatInt(rec.Seq, 10) {
+			return false
 		}
-		off += nl + 1
-		good = off
-		if rec.Seq > l.seq {
-			l.seq = rec.Seq
-		}
-		switch rec.Op {
-		case "accept":
+		l.seq = max(l.seq, rec.Seq)
+		if rec.Op == "accept" {
 			l.live[rec.Seq] = rec
-		case "end":
+		} else {
 			delete(l.live, rec.Seq)
 		}
-	}
-	if good < len(data) {
+		return true
+	})
+	if good < int64(len(data)) {
 		log.Printf("serve: journal: dropping %d corrupt trailing byte(s) of %s (crash mid-append; %d live record(s) recovered)",
-			len(data)-good, l.path, len(l.live))
+			int64(len(data))-good, l.file.path, len(l.live))
 	}
-	pending := make([]journalRecord, 0, len(l.live))
-	for _, rec := range l.live {
-		pending = append(pending, rec)
-	}
-	sort.Slice(pending, func(i, j int) bool { return pending[i].Seq < pending[j].Seq })
+	pending := l.sortedLive()
 
-	// Compact on open: rewrites away ended pairs and the corrupt tail,
-	// and leaves l.f positioned for appends.
+	// Compact on open: rewrites away ended pairs and the dropped tail,
+	// and leaves the file ready for appends.
 	if err := l.rewriteLocked(); err != nil {
-		return nil, nil, err
+		return nil, nil, errors.Join(err, l.file.close())
 	}
 	return l, pending, nil
 }
 
-// wellFormed rejects records that parsed as JSON but are not usable —
-// the tail-corruption guard must not admit a half-overwritten line
-// that happens to still be valid JSON.
+// wellFormed rejects records that parsed as JSON but are not usable:
+// a matching CRC proves the bytes are the ones written, not that they
+// make a record replay can act on.
 func (r journalRecord) wellFormed() bool {
 	switch r.Op {
 	case "accept":
@@ -213,134 +207,69 @@ func (l *journal) end(seq int64, state State) {
 		l.endsSinceCompact++
 		if l.endsSinceCompact >= l.compactEvery {
 			if err := l.rewriteLocked(); err != nil {
-				l.fail(err)
+				l.file.fail(err)
 			}
 		}
 	}
 }
 
-// writeLocked appends one record, optionally fsyncing, and accounts
-// the outcome. l.mu must be held.
+// writeLocked appends one record, optionally fsyncing; the file
+// accounts the outcome. l.mu must be held.
 func (l *journal) writeLocked(rec journalRecord, sync bool) bool {
 	data, err := json.Marshal(rec)
 	if err != nil {
-		l.fail(err) // unreachable: every journalRecord marshals
+		l.file.fail(err) // unreachable: every journalRecord marshals
 		return false
 	}
-	data = append(data, '\n')
-	switch f := l.faults; {
-	case f != nil && f.JournalWrite != nil:
-		err = f.JournalWrite(data)
-	case l.f == nil:
-		err = os.ErrClosed // a late end racing close; nothing to append to
-	default:
-		_, err = l.f.Write(data)
-	}
-	if err == nil && sync {
-		switch f := l.faults; {
-		case f != nil && f.JournalSync != nil:
-			err = f.JournalSync()
-		case l.f == nil:
-			err = os.ErrClosed
-		default:
-			err = l.f.Sync()
-		}
-	}
-	if err != nil {
-		l.fail(err)
-		return false
-	}
-	l.consecFailures = 0
-	return true
+	_, err = l.file.append(strconv.FormatInt(rec.Seq, 10), data, sync)
+	return err == nil
 }
 
-// fail accounts one journal write failure. The first is logged; the
-// rest are only counted (a full disk must not flood the log) and
-// surface through /readyz and /v1/stats.
-func (l *journal) fail(err error) {
-	l.consecFailures++
-	l.totalFailures++
-	l.logOnce.Do(func() {
-		log.Printf("serve: journal: write to %s failing: %v (durability degraded; failures are counted in /v1/stats, further ones not logged)", l.path, err)
-	})
-}
-
-// rewriteLocked replaces the journal file with only the live accepts
-// (atomic temp + rename), resetting the compaction counter. l.mu must
-// be held.
-func (l *journal) rewriteLocked() error {
+// sortedLive returns the live accepts in seq order.
+func (l *journal) sortedLive() []journalRecord {
 	recs := make([]journalRecord, 0, len(l.live))
 	for _, rec := range l.live {
 		recs = append(recs, rec)
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
-	var buf bytes.Buffer
-	for _, rec := range recs {
+	return recs
+}
+
+// rewriteLocked replaces the journal file with only the live accepts
+// (see recordLog.rewrite), resetting the compaction counter. l.mu must
+// be held.
+func (l *journal) rewriteLocked() error {
+	var buf []byte
+	for _, rec := range l.sortedLive() {
 		data, err := json.Marshal(rec)
 		if err != nil {
 			return fmt.Errorf("serve: journal: compact: %w", err)
 		}
-		buf.Write(data)
-		buf.WriteByte('\n')
+		buf = append(buf, encodeRecord(strconv.FormatInt(rec.Seq, 10), data)...)
 	}
-	dir := filepath.Dir(l.path)
-	tmp, err := os.CreateTemp(dir, ".journal-*")
-	if err != nil {
+	if err := l.file.rewrite(buf); err != nil {
 		return fmt.Errorf("serve: journal: compact: %w", err)
 	}
-	name := tmp.Name()
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close() //plclint:allow journalerr -- already on the compact-failure path; the temp file is removed next
-		os.Remove(name)
-		return fmt.Errorf("serve: journal: compact: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close() //plclint:allow journalerr -- already on the compact-failure path; the temp file is removed next
-		os.Remove(name)
-		return fmt.Errorf("serve: journal: compact: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("serve: journal: compact: %w", err)
-	}
-	if err := os.Rename(name, l.path); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("serve: journal: compact: %w", err)
-	}
-	f, err := os.OpenFile(l.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("serve: journal: reopen after compact: %w", err)
-	}
-	if l.f != nil {
-		l.f.Close() //plclint:allow journalerr -- closing the pre-compaction fd; the journal already lives at the renamed path
-	}
-	l.f = f
 	l.endsSinceCompact = 0
 	return nil
 }
 
 // liveCount returns the number of accepted jobs without a terminal
-// record yet — what a crash right now would replay.
+// record yet — what a crash right now would replay (0 without a
+// journal).
 func (l *journal) liveCount() int {
+	if l == nil {
+		return 0
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.live)
 }
 
-// failures snapshots the consecutive and total write-failure counts.
-func (l *journal) failures() (consecutive, total int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.consecFailures, l.totalFailures
-}
-
 // close releases the journal file. Records already written stay on
 // disk; live jobs stay live (that is the point — they replay).
-func (l *journal) close() {
+func (l *journal) close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f != nil {
-		l.f.Close() //plclint:allow journalerr -- shutdown close; end records are unfsynced by design and replay on restart
-		l.f = nil
-	}
+	return l.file.close()
 }

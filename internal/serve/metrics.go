@@ -126,15 +126,12 @@ func newMetrics(s *Server) *metrics {
 	// cache already keep (accounted where the failure happens).
 	r.NewCounterFunc("plcsrv_journal_write_failures_total",
 		"Dropped journal writes (durability degraded).", func() float64 {
-			if s.journal == nil {
-				return 0
-			}
-			_, total := s.journal.failures()
+			_, total := s.journalLog().failures()
 			return float64(total)
 		})
 	r.NewCounterFunc("plcsrv_disk_cache_write_failures_total",
 		"Dropped disk-cache writes (persistence degraded).", func() float64 {
-			_, total := s.cache.diskFailures()
+			_, total := s.cache.own.failures()
 			return float64(total)
 		})
 
@@ -148,12 +145,9 @@ func newMetrics(s *Server) *metrics {
 	r.NewGaugeFunc("plcsrv_cache_bytes",
 		"Bytes resident in the in-memory result cache.", func() float64 { return float64(s.cache.bytesUsed()) })
 	r.NewGaugeFunc("plcsrv_disk_cache_bytes",
-		"Bytes occupied by the disk cache tier (0 without -cache-dir).", func() float64 { return float64(s.cache.diskBytes()) })
+		"Bytes occupied by the disk cache tier (0 without -cache-dir).", func() float64 { return float64(s.cache.diskOccupancy.Load()) })
 	r.NewGaugeFunc("plcsrv_journal_live_records",
 		"Accepted jobs the journal still owes a terminal record for.", func() float64 {
-			if s.journal == nil {
-				return 0
-			}
 			return float64(s.journal.liveCount())
 		})
 	r.NewGaugeFunc("plcsrv_journal_replaying",

@@ -1,10 +1,6 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -15,13 +11,8 @@ import (
 // record for seq.
 func journalHasEnd(t *testing.T, dir string, seq int64) bool {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join(dir, journalFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range bytes.Split(data, []byte("\n")) {
-		var rec journalRecord
-		if json.Unmarshal(line, &rec) == nil && rec.Op == "end" && rec.Seq == seq {
+	for _, rec := range journalRecords(t, dir) {
+		if rec.Op == "end" && rec.Seq == seq {
 			return true
 		}
 	}
@@ -39,9 +30,9 @@ func TestPersistOrdering(t *testing.T) {
 	release := make(chan struct{})
 	var holding atomic.Bool
 	s := mustNew(t, Config{CacheDir: cacheDir, JournalDir: journalDir, faults: &Faults{
-		DiskCacheWrite: func(key string) error {
-			if holding.CompareAndSwap(false, true) {
-				held <- key
+		Disk: func(st DiskStep) error {
+			if st.Log == "cache" && holding.CompareAndSwap(false, true) {
+				held <- st.Key
 				<-release
 			}
 			return nil
@@ -128,8 +119,8 @@ func TestPersistPanicIsolated(t *testing.T) {
 	var boom atomic.Bool
 	boom.Store(true)
 	s := mustNew(t, Config{CacheDir: t.TempDir(), faults: &Faults{
-		DiskCacheWrite: func(string) error {
-			if boom.Swap(false) {
+		Disk: func(st DiskStep) error {
+			if st.Log == "cache" && boom.Swap(false) {
 				panic("injected persist panic")
 			}
 			return nil

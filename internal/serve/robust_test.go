@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,18 +19,52 @@ import (
 	"repro/internal/scenario"
 )
 
-// writeJournal handcrafts a journal file under dir from raw NDJSON
-// lines — the deterministic way to stage "a previous run crashed here"
-// states without actually crashing a process.
-func writeJournal(t *testing.T, dir string, lines ...string) {
-	t.Helper()
-	data := strings.Join(lines, "\n")
-	if len(lines) > 0 && !strings.HasSuffix(data, "\n") {
-		data += "\n"
+// seqField finds a journal payload's seq, even in a payload that is
+// not valid JSON.
+var seqField = regexp.MustCompile(`"seq":(\d+)`)
+
+// journalBytes frames raw journal payloads the way the journal writes
+// them, each keyed by the seq it names ("0" when it names none).
+func journalBytes(payloads ...string) []byte {
+	var data []byte
+	for _, p := range payloads {
+		key := "0"
+		if m := seqField.FindStringSubmatch(p); m != nil {
+			key = m[1]
+		}
+		data = append(data, encodeRecord(key, []byte(p))...)
 	}
-	if err := os.WriteFile(filepath.Join(dir, journalFile), []byte(data), 0o644); err != nil {
+	return data
+}
+
+// writeJournal handcrafts a journal file under dir — the deterministic
+// way to stage "a previous run crashed here" states without actually
+// crashing a process.
+func writeJournal(t *testing.T, dir string, data []byte) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, journalFile), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// journalRecords decodes every record of the journal under dir, up to
+// the first bad one.
+func journalRecords(t *testing.T, dir string) []journalRecord {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []journalRecord
+	walkRecords(bytes.NewReader(data), int64(len(data)), true, func(_ int64, _, payload []byte) bool {
+		var rec journalRecord
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			t.Fatalf("journal record %q: %v", payload, err)
+		}
+		recs = append(recs, rec)
+		return true
+	})
+	return recs
 }
 
 // acceptLine renders a well-formed scenario accept record for spec.
@@ -80,7 +115,7 @@ func waitReplayed(t *testing.T, s *Server, n int64) {
 func TestJournalReplayRecoversJob(t *testing.T) {
 	dir := t.TempDir()
 	spec := tinySpec("journal-replay")
-	writeJournal(t, dir, acceptLine(t, 1, spec, 3))
+	writeJournal(t, dir, journalBytes(acceptLine(t, 1, spec, 3)))
 
 	s := mustNew(t, Config{JournalDir: dir})
 	waitReplayed(t, s, 1)
@@ -129,10 +164,8 @@ func TestJournalReplayRecoversJob(t *testing.T) {
 func TestJournalCorruptTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	spec := tinySpec("corrupt-tail")
-	writeJournal(t, dir,
-		acceptLine(t, 1, spec, 2),
-		`{"seq":2,"op":"accept","kind":"scenario","key":"sha256:beef","sp`, // torn mid-append
-	)
+	data := journalBytes(acceptLine(t, 1, spec, 2), acceptLine(t, 2, tinySpec("torn"), 2))
+	writeJournal(t, dir, data[:len(data)-40]) // torn mid-append
 
 	s := mustNew(t, Config{JournalDir: dir})
 	waitReplayed(t, s, 1)
@@ -144,17 +177,31 @@ func TestJournalCorruptTailTruncated(t *testing.T) {
 	// A record that parses as JSON but is not usable must also stop the
 	// scan — nothing at or after it is trusted.
 	dir2 := t.TempDir()
-	writeJournal(t, dir2,
+	writeJournal(t, dir2, journalBytes(
 		acceptLine(t, 1, spec, 2),
 		`{"seq":3,"op":"accept","kind":"scenario","key":"sha256:feed"}`, // no spec: malformed
 		acceptLine(t, 4, tinySpec("after-corruption"), 2),
-	)
+	))
 	s2 := mustNew(t, Config{JournalDir: dir2})
 	waitReplayed(t, s2, 1)
 	if jobs := s2.Jobs(); len(jobs) != 1 {
 		t.Fatalf("records after a corrupt one must not replay; got %d job(s)", len(jobs))
 	}
 	s2.Close()
+
+	// So must a sound record keyed by another seq than its payload's.
+	dir3 := t.TempDir()
+	writeJournal(t, dir3, append(append(journalBytes(acceptLine(t, 1, spec, 2)),
+		encodeRecord("7", []byte(acceptLine(t, 3, tinySpec("misfiled"), 2)))...),
+		journalBytes(acceptLine(t, 4, tinySpec("after-misfiled"), 2))...))
+	jl, pending, err := openJournal(dir3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jl.close()
+	if len(pending) != 1 || pending[0].Seq != 1 {
+		t.Fatalf("a record keyed by another seq, or one after it, replayed: %+v", pending)
+	}
 }
 
 // TestJournalCollapseAndCompaction exercises the journal's two
@@ -191,12 +238,8 @@ func TestJournalCollapseAndCompaction(t *testing.T) {
 	}
 	l.end(seqs[0], StateDone)
 	l.end(seqs[1], StateDone)
-	data, err := os.ReadFile(filepath.Join(dir, journalFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(string(data), "\n"); lines != 1 {
-		t.Fatalf("compacted journal has %d line(s), want 1 live accept:\n%s", lines, data)
+	if recs := journalRecords(t, dir); len(recs) != 1 {
+		t.Fatalf("compacted journal has %d record(s), want 1 live accept: %+v", len(recs), recs)
 	}
 	l.close()
 
@@ -380,8 +423,8 @@ func TestRequestTimeoutOverride(t *testing.T) {
 func TestReadyzDegradedJournal(t *testing.T) {
 	var fail atomic.Bool
 	s := mustNew(t, Config{JournalDir: t.TempDir(), faults: &Faults{
-		JournalWrite: func([]byte) error {
-			if fail.Load() {
+		Disk: func(st DiskStep) error {
+			if st.Log == "journal" && st.Op == "write" && fail.Load() {
 				return errors.New("injected: no space left on device")
 			}
 			return nil
@@ -681,8 +724,8 @@ func TestDiskCacheFaultDegradesReadiness(t *testing.T) {
 	var fail atomic.Bool
 	fail.Store(true)
 	s := mustNew(t, Config{CacheDir: t.TempDir(), faults: &Faults{
-		DiskCacheWrite: func(string) error {
-			if fail.Load() {
+		Disk: func(st DiskStep) error {
+			if st.Log == "cache" && fail.Load() {
 				return errors.New("injected disk-cache failure")
 			}
 			return nil

@@ -78,9 +78,10 @@ type Config struct {
 	// in the cache. Default 1024.
 	MaxJobs int
 	// JournalDir, when non-empty, enables the job journal: an
-	// append-only NDJSON write-ahead log under <JournalDir>/journal.ndjson
-	// recording every accepted submission (fsynced before the accept is
-	// acknowledged) and every terminal transition. On startup the
+	// append-only write-ahead log of CRC-framed records under
+	// <JournalDir>/journal.rec recording every accepted submission
+	// (fsynced before the accept is acknowledged) and every terminal
+	// transition. On startup the
 	// server replays accepts without a terminal record back onto the
 	// queue, so a crashed or killed daemon picks its unfinished work
 	// back up — and because every study is content-addressed, replayed
@@ -195,7 +196,6 @@ type Server struct {
 	cfg     Config
 	cache   *cache
 	journal *journal // nil without JournalDir
-	faults  *Faults  // nil in production
 	metrics *metrics // event counters, latency histograms, gauges
 
 	ctx       context.Context
@@ -271,7 +271,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.JournalDir != "" {
 		jl, pending, err = openJournal(cfg.JournalDir, cfg.faults)
 		if err != nil {
-			return nil, err
+			return nil, errors.Join(err, cache.close())
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -279,7 +279,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		cache:     cache,
 		journal:   jl,
-		faults:    cfg.faults,
 		ctx:       ctx,
 		cancelAll: cancel,
 		jobs:      make(map[string]*Job),
@@ -323,11 +322,12 @@ func (s *Server) Close() {
 	}
 	s.waitWorkers()
 	s.replayWG.Wait()
+	var err error
 	if s.journal != nil {
-		s.journal.close()
+		err = s.journal.close()
 	}
-	if err := s.cache.close(); err != nil {
-		log.Printf("serve: cache: close: %v", err)
+	if err = errors.Join(err, s.cache.close()); err != nil {
+		log.Printf("serve: close: %v", err)
 	}
 }
 
@@ -619,7 +619,7 @@ func (s *Server) predictEntry(spec scenario.Spec) (ent entry, cached bool, err e
 		s.mu.Unlock()
 		close(fl.done)
 	}()
-	if f := s.faults; f != nil && f.PredictSolve != nil {
+	if f := s.cfg.faults; f != nil && f.PredictSolve != nil {
 		f.PredictSolve()
 	}
 	solveStart := obs.Now()
@@ -817,11 +817,8 @@ func (s *Server) Stats() (Counters, int) {
 		Replayed:          int64(m.replayed.Value()),
 		RegistryOverflow:  int64(m.registryOverflow.Value()),
 	}
-	if s.journal != nil {
-		_, total := s.journal.failures()
-		c.JournalWriteFailures = total
-	}
-	_, c.DiskCacheWriteFailures = s.cache.diskFailures()
+	_, c.JournalWriteFailures = s.journalLog().failures()
+	_, c.DiskCacheWriteFailures = s.cache.own.failures()
 	return c, s.cache.len()
 }
 
@@ -846,15 +843,21 @@ func (s *Server) Ready() (ok bool, reason string) {
 	if queued >= s.cfg.QueueDepth {
 		return false, "job queue saturated"
 	}
-	if s.journal != nil {
-		if consec, _ := s.journal.failures(); consec >= degradedAfter {
-			return false, fmt.Sprintf("journal degraded: %d consecutive write failures", consec)
-		}
+	if consec, _ := s.journalLog().failures(); consec >= degradedAfter {
+		return false, fmt.Sprintf("journal degraded: %d consecutive write failures", consec)
 	}
-	if consec, _ := s.cache.diskFailures(); consec >= degradedAfter {
+	if consec, _ := s.cache.own.failures(); consec >= degradedAfter {
 		return false, fmt.Sprintf("disk cache degraded: %d consecutive write failures", consec)
 	}
 	return true, ""
+}
+
+// journalLog returns the journal's record log, nil without a journal.
+func (s *Server) journalLog() *recordLog {
+	if s.journal == nil {
+		return nil
+	}
+	return s.journal.file
 }
 
 // degradedAfter is the consecutive write-failure count at which a
@@ -996,10 +999,10 @@ func classify(ctx context.Context, err error) (state State, panicked bool) {
 // progressFn wraps a job's progress recorder with the per-replication
 // fault hook (nil faults: the job's own method, no wrapper).
 func (s *Server) progressFn(j *Job) func(done, total int) {
-	if s.faults == nil || s.faults.RepHook == nil {
+	if s.cfg.faults == nil || s.cfg.faults.RepHook == nil {
 		return j.setProgress
 	}
-	hook := s.faults.RepHook
+	hook := s.cfg.faults.RepHook
 	return func(done, total int) {
 		hook()
 		j.setProgress(done, total)
