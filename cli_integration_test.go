@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"bufio"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -207,6 +208,18 @@ func TestScenarioCLI(t *testing.T) {
 	cmd := exec.Command(path, "-scenario", filepath.Join(bin, "missing.json"))
 	if out, err := cmd.CombinedOutput(); err == nil {
 		t.Errorf("missing scenario file accepted:\n%s", out)
+	}
+
+	// More stations than the mac engine has TEIs is a spec error that
+	// names the field (exit 2), not a panic out of the engine.
+	crowded := filepath.Join(bin, "crowded.json")
+	if err := os.WriteFile(crowded, []byte(`{"name":"crowded","engine":"mac","sim_time_us":100000,"stations":[{"count":256}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(path, "-scenario", crowded).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), `"count" = 256`) || strings.Contains(string(out), "panic") {
+		t.Errorf("256-station mac spec: %v\n%s\nwant exit 2 naming \"count\"", err, out)
 	}
 }
 

@@ -306,6 +306,21 @@ func TestCompileRejectsUnknownTargetMetric(t *testing.T) {
 	}
 }
 
+// TestCompileRejectsNOverStationCap: an "n" value past the scenario
+// station cap fails the point's own Validate, naming the field.
+func TestCompileRejectsNOverStationCap(t *testing.T) {
+	s := Spec{
+		Name: "crowded",
+		Base: baseSpec(),
+		Axes: []Axis{{Path: "n", Values: rawVals(t, 2, 254)}},
+	}
+	s.Base.Stations = []scenario.Group{{Count: 1}}
+	_, err := Compile(s)
+	if err == nil || !strings.Contains(err.Error(), `"count" = 254 puts the point over the 253-station cap`) {
+		t.Errorf("n over the station cap not rejected by name: %v", err)
+	}
+}
+
 func TestParseRejectsUnknownFields(t *testing.T) {
 	_, err := Parse([]byte(`{"name":"x","axess":[]}`))
 	if err == nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
 
 	"repro/internal/par"
 	"repro/internal/scenario"
@@ -26,8 +25,7 @@ type PointComparison struct {
 }
 
 // MetricDivergence reduces one metric's model-vs-simulation error over
-// every grid point (and every sweep point within them) of a compare
-// campaign: the summary row of the accuracy-envelope table.
+// every grid point of a compare campaign: the summary row of the accuracy-envelope table.
 type MetricDivergence struct {
 	// Name is the canonical metric name.
 	Name string `json:"name"`
@@ -42,7 +40,7 @@ type MetricDivergence struct {
 	// Points counts the comparisons aggregated.
 	Points int `json:"points"`
 	// WorstRel and WorstAbs name the grid point with the largest
-	// relative and absolute error ("n=5, …" plus "N=…" inside a sweep).
+	// relative and absolute error ("n=5, …").
 	WorstRel string `json:"worst_rel,omitempty"`
 	WorstAbs string `json:"worst_abs,omitempty"`
 }
@@ -107,8 +105,8 @@ func CompareRun(c *Compiled, opts Opts) (*CompareReport, error) {
 }
 
 // Divergence reduces the report to one row per metric, in the order
-// the metrics first appear. Aggregation spans every grid point and
-// every sweep point inside each comparison.
+// the metrics first appear. Aggregation spans every grid point (a
+// campaign base has no sweep_n, so each comparison is one point).
 func (r *CompareReport) Divergence() []MetricDivergence {
 	var order []string
 	rows := map[string]*MetricDivergence{}
@@ -122,20 +120,16 @@ func (r *CompareReport) Divergence() []MetricDivergence {
 					rows[m.Name] = d
 					order = append(order, m.Name)
 				}
-				coord := pc.Coord
-				if len(pc.Report.Spec.SweepN) > 0 {
-					coord = fmt.Sprintf("%s, N=%d", coord, sp.N)
-				}
 				d.Points++
 				d.MeanAbs += m.AbsDiff
 				if m.AbsDiff > d.MaxAbs || d.WorstAbs == "" {
-					d.MaxAbs, d.WorstAbs = m.AbsDiff, coord
+					d.MaxAbs, d.WorstAbs = m.AbsDiff, pc.Coord
 				}
 				if m.Sim.Mean != 0 {
 					relN[m.Name]++
 					d.MeanRel += m.RelDiff
 					if m.RelDiff > d.MaxRel || d.WorstRel == "" {
-						d.MaxRel, d.WorstRel = m.RelDiff, coord
+						d.MaxRel, d.WorstRel = m.RelDiff, pc.Coord
 					}
 				}
 			}
@@ -201,36 +195,8 @@ func (r *CompareReport) Write(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "\n## point %d: %s\n", pc.Index, pc.Coord); err != nil {
 			return err
 		}
-		if err := writePointMetrics(w, pc.Report); err != nil {
+		if err := pc.Report.WriteMetrics(w); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// writePointMetrics renders one comparison's metric lines (the body of
-// scenario.CompareReport.Write, without its per-scenario header).
-func writePointMetrics(w io.Writer, rep *scenario.CompareReport) error {
-	width := 0
-	for _, p := range rep.Points {
-		for _, m := range p.Metrics {
-			if len(m.Name) > width {
-				width = len(m.Name)
-			}
-		}
-	}
-	for _, p := range rep.Points {
-		if len(rep.Spec.SweepN) > 0 {
-			if _, err := fmt.Fprintf(w, "# N = %d\n", p.N); err != nil {
-				return err
-			}
-		}
-		for _, m := range p.Metrics {
-			pad := strings.Repeat(" ", width-len(m.Name))
-			if _, err := fmt.Fprintf(w, "%s%s  model %14.6f   sim %14.6f ± %.6f   |Δ| %.6f (%.2f%%)\n",
-				m.Name, pad, m.Model, m.Sim.Mean, m.Sim.CI95, m.AbsDiff, 100*m.RelDiff); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

@@ -2,11 +2,8 @@ package campaign
 
 import (
 	"context"
-	"fmt"
 	"math"
-	"sync"
 
-	"repro/internal/par"
 	"repro/internal/scenario"
 )
 
@@ -83,32 +80,10 @@ type Report struct {
 	SimulatedReps int `json:"-"`
 }
 
-// pointState tracks one grid point through the replication rounds.
-type pointState struct {
-	point    Point
-	schedule []int // cumulative replication counts, ending at the cap
-	step     int   // index into schedule of the count being built
-	seeds    []uint64
-	perRep   [][]scenario.Metric
-	controls [][]float64 // per-rep control vectors (CV campaigns only)
-	// sum holds the buffers the stopping rule reduces target metrics in.
-	sum       scenario.Summarizer
-	adoptedTo int // reps covered by cache adoption (no re-Put needed)
-	finished  bool
-	result    PointResult
-}
-
-// cv reports whether this point runs under control-variate estimation.
-func (ps *pointState) cv() bool { return ps.point.Spec.CVEnabled() }
-
 // repSchedule builds a point's cumulative replication schedule.
-func repSchedule(s Spec, engine string) []int {
-	if engine == scenario.EngineModel {
-		// Analytic points are deterministic; every replication returns
-		// identical metrics, so the study collapses to one evaluation —
-		// mirroring scenario.Replications.
-		return []int{1}
-	}
+// (RunStudy collapses a model-engine point to one evaluation, whatever
+// its schedule.)
+func repSchedule(s Spec) []int {
 	if !s.Adaptive() {
 		return []int{s.Reps}
 	}
@@ -123,27 +98,20 @@ func repSchedule(s Spec, engine string) []int {
 	return sched
 }
 
-// converged evaluates the campaign's targets against the intervals the
-// point publishes at its current count (MetricSummary.Interval): the
-// CV-adjusted interval where a fit applied, which is where the
-// simulated-rep savings come from, the plain one otherwise. rep, when
-// non-nil, is that count's report, already built; otherwise only the
-// target metrics are reduced. A single-sample point never converges
-// (its CI is vacuously zero), except for the deterministic model
-// engine, whose schedule is pinned to one evaluation anyway.
-func (ps *pointState) converged(s Spec, rep *scenario.Report) bool {
-	if !s.Adaptive() || ps.point.Spec.Engine == scenario.EngineModel {
+// converged evaluates the campaign's targets against the intervals a
+// point's sample publishes at its current count
+// (MetricSummary.Interval): the CV-adjusted interval where a fit
+// applied, which is where the simulated-rep savings come from, the
+// plain one otherwise. A single-sample point never converges (its CI is
+// vacuously zero), except for the deterministic model engine, whose
+// schedule is pinned to one evaluation anyway.
+func converged(s Spec, engine string, smp *scenario.Sample) bool {
+	if !s.Adaptive() || engine == scenario.EngineModel {
 		return true
 	}
 	for _, tg := range s.Targets {
-		var ms *scenario.MetricSummary
-		if rep != nil {
-			ms = metricSummary(rep, tg.Metric)
-		} else if mi := metricIndex(ps.perRep[0], tg.Metric); mi >= 0 {
-			m := ps.sum.Metric(ps.perRep, ps.controls, mi, ps.point.Spec.VarianceReduction)
-			ms = &m
-		}
-		if ms == nil || ms.Summary.N < 2 {
+		ms, ok := smp.Metric(tg.Metric)
+		if !ok || ms.Summary.N < 2 {
 			return false // a missing metric is unreachable: Compile checked target names
 		}
 		mean, hw := ms.Interval()
@@ -161,195 +129,92 @@ func (ps *pointState) converged(s Spec, rep *scenario.Report) bool {
 	return true
 }
 
-// metricIndex returns the position of the named metric in a
-// replication's canonical metric order (-1 when absent).
-func metricIndex(metrics []scenario.Metric, name string) int {
-	for i, m := range metrics {
-		if m.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// Run executes a compiled campaign: every grid point runs its
-// replication schedule, points converge (or cap out) independently, and
-// each round's fresh replications fan across the par pool. The report
-// is bit-identical whatever the worker count, and each point's embedded
-// scenario.Report is bit-identical to scenario.Replications on the
-// point's expanded spec at the same replication count.
+// Run executes a compiled campaign on scenario.RunStudy: every grid
+// point runs its replication schedule, points converge (or cap out)
+// independently, and each round's fresh replications fan across the
+// par pool. The campaign supplies the schedule, the stopping rule and
+// the cache. The report is bit-identical whatever the worker count, and
+// each point's embedded scenario.Report is bit-identical to
+// scenario.Replications on the point's expanded spec at the same
+// replication count.
 func Run(c *Compiled, opts Opts) (*Report, error) {
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	states := make([]*pointState, len(c.Points))
+	out := &Report{Spec: c.Spec, Points: make([]PointResult, len(c.Points))}
+	points := make([]scenario.StudyPoint, len(c.Points))
+	schedule := repSchedule(c.Spec)
 	for i, p := range c.Points {
-		states[i] = &pointState{point: p, schedule: repSchedule(c.Spec, p.Spec.Engine)}
+		points[i] = scenario.StudyPoint{C: p.Compiled, Schedule: schedule}
 	}
-
-	out := &Report{Spec: c.Spec}
-	var progressMu sync.Mutex
-	scheduled, done := 0, 0
-	progress := func(d int) {
-		// Deferred unlock: a Progress callback that panics (fault
-		// injection, a broken observer) must not leave the mutex held —
-		// par recovers the panic, and the surviving workers still pass
-		// through here.
-		progressMu.Lock()
-		defer progressMu.Unlock()
-		done += d
-		if opts.Progress != nil {
-			opts.Progress(done, scheduled)
+	var cached func(pt, reps int) (*scenario.PointReport, error)
+	if opts.Cache != nil {
+		// A cached identical study — an earlier campaign run, or a
+		// direct submission of the expanded spec at this count —
+		// supplies all reps up to the count without simulating.
+		cached = func(pt, reps int) (*scenario.PointReport, error) {
+			spec := c.Points[pt].Spec
+			key, err := scenario.Fingerprint(spec, reps)
+			if err != nil {
+				return nil, err // unreachable: the spec compiled already
+			}
+			if rep, ok := opts.Cache.Get(key); ok && cacheUsable(rep, reps, spec.CVEnabled()) {
+				return &rep.Points[0], nil
+			}
+			return nil, nil
 		}
+	}
+	report := func(p *Point, s *scenario.Sample) *scenario.Report {
+		return &scenario.Report{Spec: p.Spec, Reps: s.Reps(), Points: []scenario.PointReport{*s.Report()}}
 	}
 	pointsDone := 0
-	// finish closes a point at reps; rep is the report at that count
-	// when the round already built one for the cache.
-	finish := func(ps *pointState, reps int, conv bool, rep *scenario.Report) error {
-		key, err := scenario.Fingerprint(ps.point.Spec, reps)
+	reached := func(pt int, s *scenario.Sample, cached, last bool) (bool, error) {
+		p := &c.Points[pt]
+		// Publish the cumulative study at this count — it is exactly
+		// what a direct -reps run would compute, and it is what makes a
+		// rerun of this campaign find every batch in cache. A count
+		// adopted whole from cache is already there under this very
+		// key; re-encoding it would be pure waste.
+		var rep *scenario.Report
+		if opts.Cache != nil && !cached {
+			key, err := scenario.Fingerprint(p.Spec, s.Reps())
+			if err != nil {
+				return false, err
+			}
+			rep = report(p, s)
+			opts.Cache.Put(key, rep)
+		}
+		conv := converged(c.Spec, p.Spec.Engine, s)
+		if !conv && !last {
+			return false, nil
+		}
+		key, err := scenario.Fingerprint(p.Spec, s.Reps())
 		if err != nil {
-			return err // unreachable: the spec compiled already
+			return false, err
 		}
-		ps.finished = true
 		if rep == nil {
-			rep = ps.buildReport(reps)
+			rep = report(p, s)
 		}
-		ps.result = PointResult{
-			Index:     ps.point.Index,
-			Labels:    ps.point.Labels,
+		out.Points[pt] = PointResult{
+			Index:     p.Index,
+			Labels:    p.Labels,
 			Key:       key,
-			Reps:      reps,
+			Reps:      s.Reps(),
 			Converged: conv,
 			Report:    rep,
 		}
-		if ps.cv() {
-			ps.result.Speedup = reportSpeedup(rep, c.Spec.Targets)
+		if p.Spec.CVEnabled() {
+			out.Points[pt].Speedup = reportSpeedup(rep, c.Spec.Targets)
 		}
 		pointsDone++
 		if opts.PointDone != nil {
 			opts.PointDone(pointsDone, len(c.Points))
 		}
-		return nil
+		return true, nil
 	}
-
-	for round := 0; ; round++ {
-		// Rounds that adopt everything from cache never enter MapCtx,
-		// so cancellation must be observed here too — a DELETEd
-		// campaign may not complete as done off cached batches.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		type job struct {
-			ps   *pointState
-			rep  int
-			seed uint64
-		}
-		var jobs []job
-		for _, ps := range states {
-			if ps.finished {
-				continue
-			}
-			target := ps.schedule[ps.step]
-			need := target - len(ps.perRep)
-			if need <= 0 {
-				continue
-			}
-			// A cached identical study — an earlier campaign run, or a
-			// direct submission of the expanded spec at this count —
-			// supplies all reps up to target without simulating.
-			if opts.Cache != nil {
-				key, err := scenario.Fingerprint(ps.point.Spec, target)
-				if err != nil {
-					return nil, err
-				}
-				if rep, ok := opts.Cache.Get(key); ok && cacheUsable(rep, target, ps.cv()) {
-					fresh := rep.Points[0].PerRep[len(ps.perRep):target]
-					var ctrls [][]float64
-					if ps.cv() {
-						ctrls = rep.Points[0].Controls[:target]
-					}
-					ps.adopt(rep.Points[0].Seeds[:target], rep.Points[0].PerRep[:target], ctrls)
-					ps.adoptedTo = target
-					scheduled += len(fresh)
-					progress(len(fresh))
-					continue
-				}
-			}
-			for r := len(ps.perRep); r < target; r++ {
-				jobs = append(jobs, job{ps, r, scenario.RepSeed(ps.point.Spec.SeedPolicy, ps.point.Spec.Seed, 0, r)})
-			}
-		}
-		scheduled += len(jobs)
-		if len(jobs) > 0 {
-			type repOut struct {
-				metrics  []scenario.Metric
-				controls []float64
-			}
-			results, err := par.MapCtx(ctx, opts.Workers, jobs, func(_ int, j job) (repOut, error) {
-				var out repOut
-				var err error
-				if j.ps.cv() {
-					out.metrics, out.controls, err = scenario.RunOnceCV(j.ps.point.Compiled.Points[0], j.seed)
-				} else {
-					out.metrics, err = scenario.RunOnce(j.ps.point.Compiled.Points[0], j.seed)
-				}
-				if err == nil {
-					progress(1)
-				}
-				return out, err
-			})
-			if err != nil {
-				return nil, err
-			}
-			out.SimulatedReps += len(jobs)
-			for ji, j := range jobs {
-				j.ps.addRep(j.seed, results[ji].metrics, results[ji].controls)
-			}
-		}
-
-		// Evaluate every point that reached its current scheduled count.
-		active := false
-		for _, ps := range states {
-			if ps.finished {
-				continue
-			}
-			target := ps.schedule[ps.step]
-			if len(ps.perRep) < target {
-				return nil, fmt.Errorf("campaign %s: point %d short of schedule (%d < %d)", c.Spec.Name, ps.point.Index, len(ps.perRep), target)
-			}
-			// Publish the cumulative study at this count — it is exactly
-			// what a direct -reps run would compute, and it is what makes
-			// a rerun of this campaign find every batch in cache. A batch
-			// fully adopted from cache is already there under this very
-			// key; re-encoding it would be pure waste.
-			var rep *scenario.Report
-			if opts.Cache != nil && ps.adoptedTo < target {
-				key, err := scenario.Fingerprint(ps.point.Spec, target)
-				if err != nil {
-					return nil, err
-				}
-				rep = ps.buildReport(target)
-				opts.Cache.Put(key, rep)
-			}
-			conv := ps.converged(c.Spec, rep)
-			if conv || ps.step == len(ps.schedule)-1 {
-				if err := finish(ps, target, conv, rep); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			ps.step++
-			active = true
-		}
-		if !active {
-			break
-		}
+	simulated, err := scenario.RunStudy(points, opts.Workers,
+		scenario.Options{Context: opts.Context, Progress: opts.Progress}, cached, reached)
+	if err != nil {
+		return nil, err
 	}
-
-	for _, ps := range states {
-		out.Points = append(out.Points, ps.result)
-	}
+	out.SimulatedReps = simulated
 	return out, nil
 }
 
@@ -363,42 +228,6 @@ func cacheUsable(rep *scenario.Report, reps int, cv bool) bool {
 		return false
 	}
 	return !cv || len(rep.Points[0].Controls) == reps
-}
-
-// addRep appends one freshly simulated replication to the state.
-func (ps *pointState) addRep(seed uint64, metrics []scenario.Metric, controls []float64) {
-	ps.seeds = append(ps.seeds, seed)
-	ps.perRep = append(ps.perRep, metrics)
-	if ps.cv() {
-		ps.controls = append(ps.controls, controls)
-	}
-}
-
-// adopt replaces the state's sample with a cached one (controls is nil
-// for plain points). The overlap is bit-identical by construction: same
-// seeds, deterministic engines.
-func (ps *pointState) adopt(seeds []uint64, perRep [][]scenario.Metric, controls [][]float64) {
-	ps.seeds = append([]uint64(nil), seeds...)
-	ps.perRep = append([][]scenario.Metric(nil), perRep...)
-	ps.controls = append([][]float64(nil), controls...)
-}
-
-// buildReport renders the first reps replications as the
-// scenario.Report Replications would produce for the same spec and
-// count — same seeds, same per-rep metrics, same Summarize reduction —
-// so the bytes downstream (cache entries, served results) coincide.
-func (ps *pointState) buildReport(reps int) *scenario.Report {
-	seeds := append([]uint64(nil), ps.seeds[:reps]...)
-	perRep := append([][]scenario.Metric(nil), ps.perRep[:reps]...)
-	var controls [][]float64
-	if ps.cv() {
-		controls = append([][]float64(nil), ps.controls[:reps]...)
-	}
-	return &scenario.Report{
-		Spec:   ps.point.Spec,
-		Reps:   reps,
-		Points: []scenario.PointReport{scenario.SummarizePoint(ps.point.Compiled.Points[0].N, seeds, perRep, controls, ps.point.Spec.VarianceReduction)},
-	}
 }
 
 // reportSpeedup reduces a point's CV estimates to the single speedup

@@ -117,23 +117,24 @@ func Compare(spec Spec, reps, workers int) (*CompareReport, error) {
 	return out, nil
 }
 
-// Write renders the comparison as aligned plain text, one metric per
-// line with the model value, the simulated mean ± CI and the absolute
-// and relative divergence. Pure function of the report.
+// Write renders the comparison as aligned plain text: a header naming
+// the scenario, then the WriteMetrics lines. Pure function of the
+// report.
 func (r *CompareReport) Write(w io.Writer) error {
 	s := r.Spec
-	if _, err := fmt.Fprintf(w, "# compare scenario %s: analytic model vs engine %s (%d stations",
-		s.Name, s.Engine, s.N()); err != nil {
+	if _, err := fmt.Fprintf(w, "# compare scenario %s: analytic model vs engine %s (%d stations%s, %d sim reps, seed %d/%s)\n",
+		s.Name, s.Engine, s.N(), s.sweepClause(), r.Reps, s.Seed, s.SeedPolicy); err != nil {
 		return err
 	}
-	if len(s.SweepN) > 0 {
-		if _, err := fmt.Fprintf(w, " max, sweep over N=%v", s.SweepN); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, ", %d sim reps, seed %d/%s)\n", r.Reps, s.Seed, s.SeedPolicy); err != nil {
-		return err
-	}
+	return r.WriteMetrics(w)
+}
+
+// WriteMetrics renders the comparison's metric lines, one per metric
+// with the model value, the simulated mean ± CI and the absolute and
+// relative divergence (under a "# N = …" line per sweep point) — the
+// body of Write without its header, which a compare campaign replaces
+// with its own.
+func (r *CompareReport) WriteMetrics(w io.Writer) error {
 	width := 0
 	for _, p := range r.Points {
 		for _, m := range p.Metrics {
@@ -143,7 +144,7 @@ func (r *CompareReport) Write(w io.Writer) error {
 		}
 	}
 	for _, p := range r.Points {
-		if len(s.SweepN) > 0 {
+		if len(r.Spec.SweepN) > 0 {
 			if _, err := fmt.Fprintf(w, "\n# N = %d\n", p.N); err != nil {
 				return err
 			}

@@ -122,8 +122,8 @@ func FuzzNormalizeIdempotent(f *testing.F) {
 // engine it allows, to an answer in range: it finishes within a wall
 // budget, every metric is finite and non-negative, and probabilities
 // and normalized throughputs lie in [0, 1]. The harness clamps the
-// simulated horizon to 0.1 s and every station count to 8 so each run
-// stays small; everything else is the fuzzed spec.
+// simulated horizon to 0.1 s so each run stays small; station counts
+// run up to Validate's cap, and everything else is the fuzzed spec.
 func FuzzSpecRun(f *testing.F) {
 	seedFromExamples(f)
 	const budget = 10 * time.Second
@@ -133,14 +133,6 @@ func FuzzSpecRun(f *testing.F) {
 			return
 		}
 		s.SimTimeMicros = min(s.SimTimeMicros, 1e5)
-		s.Stations = append([]Group(nil), s.Stations...)
-		for i := range s.Stations {
-			s.Stations[i].Count = min(s.Stations[i].Count, 8)
-		}
-		s.SweepN = append([]int(nil), s.SweepN...)
-		for i := range s.SweepN {
-			s.SweepN[i] = min(s.SweepN[i], 8)
-		}
 		for _, engine := range []string{EngineSim, EngineMac, EngineModel} {
 			s.Engine = engine
 			if s.Validate() != nil {

@@ -85,8 +85,10 @@ type Options struct {
 	Context context.Context
 	// Progress, when non-nil, is called after every completed
 	// replication with the number finished so far and the total
-	// (points × reps). Calls are serialized, but — under a parallel
-	// pool — not necessarily in replication order; done is monotonic.
+	// scheduled (points × reps for Replications; it grows as RunStudy
+	// schedules later rounds). Calls are serialized, but — under a
+	// parallel pool — not necessarily in replication order; done is
+	// monotonic.
 	Progress func(done, total int)
 }
 
@@ -104,102 +106,281 @@ func Replications(c *Compiled, reps, workers int) (*Report, error) {
 }
 
 // ReplicationsOpts is Replications with cancellation and per-replication
-// progress reporting — the form the serving layer drives. The report of
-// an uncancelled run is bit-identical to Replications on the same
-// inputs, whatever the worker count.
+// progress reporting — the form the serving layer drives. It is the
+// fixed-schedule RunStudy: every sweep point runs reps replications,
+// uncached. The report of an uncancelled run is bit-identical to
+// Replications on the same inputs, whatever the worker count.
 func ReplicationsOpts(c *Compiled, reps, workers int, opts Options) (*Report, error) {
 	if reps < 1 {
 		return nil, fmt.Errorf("scenario %s: replications = %d must be ≥ 1", c.Spec.Name, reps)
 	}
-	if c.Spec.Engine == EngineModel {
-		// Analytic points are deterministic — every replication would
-		// return identical metrics, so the study collapses to a single
-		// evaluation per point (n=1, zero-width CI) whatever reps was
-		// requested. Report.Reps records the collapsed count.
-		reps = 1
+	rep := &Report{Spec: c.Spec, Points: make([]PointReport, len(c.Points))}
+	points := make([]StudyPoint, len(c.Points))
+	schedule := []int{reps}
+	for pi := range points {
+		points[pi] = StudyPoint{C: c, Index: pi, Schedule: schedule}
 	}
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	type job struct {
-		point, rep int
-		seed       uint64
-	}
-	jobs := make([]job, 0, len(c.Points)*reps)
-	for pi := range c.Points {
-		for r := 0; r < reps; r++ {
-			jobs = append(jobs, job{pi, r, RepSeed(c.Spec.SeedPolicy, c.Spec.Seed, pi, r)})
-		}
-	}
-	cv := c.Spec.CVEnabled()
-	type repOut struct {
-		metrics  []Metric
-		controls []float64
-	}
-	var progressMu sync.Mutex
-	done := 0
-	results, err := par.MapCtx(ctx, workers, jobs, func(_ int, j job) (repOut, error) {
-		var out repOut
-		var err error
-		if cv {
-			out.metrics, out.controls, err = RunOnceCV(c.Points[j.point], j.seed)
-		} else {
-			out.metrics, err = RunOnce(c.Points[j.point], j.seed)
-		}
-		if err == nil && opts.Progress != nil {
-			// Deferred unlock: a Progress callback that panics must not
-			// leave the mutex held (par recovers the panic into an error,
-			// and the surviving workers still report progress).
-			func() {
-				progressMu.Lock()
-				defer progressMu.Unlock()
-				done++
-				opts.Progress(done, len(jobs))
-			}()
-		}
-		return out, err
+	_, err := RunStudy(points, workers, opts, nil, func(pi int, s *Sample, _, _ bool) (bool, error) {
+		rep.Reps, rep.Points[pi] = s.Reps(), *s.Report()
+		return true, nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	return rep, nil
+}
 
-	rep := &Report{Spec: c.Spec, Reps: reps}
-	for pi, p := range c.Points {
-		seeds := make([]uint64, reps)
-		perRep := make([][]Metric, reps)
-		var controls [][]float64
-		if cv {
-			controls = make([][]float64, reps)
+// A StudyPoint is one point of a replication study, and its progress
+// through RunStudy: point Index of the compiled scenario C, replicated
+// up to the cumulative counts of Schedule, whose last count is the
+// point's cap.
+type StudyPoint struct {
+	C        *Compiled
+	Index    int
+	Schedule []int
+
+	step     int // index into Schedule of the count being built
+	cachedAt int // the count last adopted whole from cache
+	done     bool
+	sample   Sample
+}
+
+// collapsed is the schedule of a model-engine point: analytic points
+// are deterministic — every replication would return identical
+// metrics — so the study collapses to a single evaluation (n=1,
+// zero-width CI) whatever count was requested.
+var collapsed = []int{1}
+
+// progressCount is a study's one serialized progress count.
+type progressCount struct {
+	mu              sync.Mutex
+	done, scheduled int
+	report          func(done, total int)
+}
+
+// add counts n more replications landed and reports the count. The
+// unlock is deferred: a report that panics (fault injection, a broken
+// observer) must not leave the mutex held — par recovers the panic,
+// and the surviving workers still pass through here.
+func (pc *progressCount) add(n int) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	pc.done += n
+	if pc.report != nil {
+		pc.report(pc.done, pc.scheduled)
+	}
+}
+
+// RunStudy runs a replication study round by round; it is the one
+// place replications fan across the par pool. Each round, every
+// unfinished point takes its next scheduled count from cached (when
+// non-nil, and when it returns a report) or schedules the replications
+// it lacks, seeded RepSeed(policy, seed, Index, r); one MapCtx runs
+// them all. Then reached is called, in point order, for every
+// unfinished point: cached tells whether its count came whole from
+// cache, last whether the count ends its schedule. The point stops
+// when reached says so or its schedule ends.
+//
+// opts.Progress sees every simulated or adopted replication, serialized,
+// against the total scheduled so far. Samples, and every report built
+// from them, are bit-identical whatever the worker count. RunStudy
+// returns the number of replications simulated (adoptions excluded).
+func RunStudy(points []StudyPoint, workers int, opts Options,
+	cached func(pt, reps int) (*PointReport, error),
+	reached func(pt int, s *Sample, cached, last bool) (stop bool, err error)) (int, error) {
+	ctx := opts.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	for i := range points {
+		p := &points[i]
+		p.sample = Sample{n: p.C.Points[p.Index].N, cv: p.C.Spec.CVEnabled(), vr: p.C.Spec.VarianceReduction}
+		if p.C.Spec.Engine == EngineModel {
+			p.Schedule = collapsed
 		}
-		for r := 0; r < reps; r++ {
-			j := pi*reps + r
-			seeds[r] = jobs[j].seed
-			perRep[r] = results[j].metrics
-			if cv {
-				controls[r] = results[j].controls
+	}
+	pc := &progressCount{report: opts.Progress}
+	simulated := 0
+	type job struct {
+		p    *StudyPoint
+		seed uint64
+	}
+	type repOut struct {
+		metrics  []Metric
+		controls []float64
+	}
+	for {
+		// A round answered wholly from cache never enters MapCtx, so
+		// cancellation is observed here too: a cancelled study must not
+		// complete off cached counts.
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		var jobs []job
+		for i := range points {
+			p := &points[i]
+			if p.done {
+				continue
+			}
+			target, have := p.Schedule[p.step], p.sample.Reps()
+			if cached != nil {
+				pr, err := cached(i, target)
+				if err != nil {
+					return 0, err
+				}
+				if pr != nil {
+					p.sample.adopt(pr, target)
+					p.cachedAt = target
+					pc.scheduled += target - have
+					pc.add(target - have)
+					continue
+				}
+			}
+			if have == 0 {
+				p.sample.grow(target)
+			}
+			for r := have; r < target; r++ {
+				jobs = append(jobs, job{p, RepSeed(p.C.Spec.SeedPolicy, p.C.Spec.Seed, p.Index, r)})
 			}
 		}
-		rep.Points = append(rep.Points, SummarizePoint(p.N, seeds, perRep, controls, c.Spec.VarianceReduction))
+		pc.scheduled += len(jobs)
+		results, err := par.MapCtx(ctx, workers, jobs, func(_ int, j job) (repOut, error) {
+			var out repOut
+			var err error
+			if pt := j.p.C.Points[j.p.Index]; j.p.sample.cv {
+				out.metrics, out.controls, err = RunOnceCV(pt, j.seed)
+			} else {
+				out.metrics, err = RunOnce(pt, j.seed)
+			}
+			if err == nil {
+				pc.add(1)
+			}
+			return out, err
+		})
+		if err != nil {
+			return 0, err
+		}
+		simulated += len(jobs)
+		for ji, j := range jobs {
+			j.p.sample.add(j.seed, results[ji].metrics, results[ji].controls)
+		}
+
+		active := false
+		for i := range points {
+			p := &points[i]
+			if p.done {
+				continue
+			}
+			last := p.step == len(p.Schedule)-1
+			stop, err := reached(i, &p.sample, p.cachedAt == p.Schedule[p.step], last)
+			if err != nil {
+				return 0, err
+			}
+			if stop || last {
+				p.done = true
+				continue
+			}
+			p.step++
+			active = true
+		}
+		if !active {
+			return simulated, nil
+		}
 	}
-	return rep, nil
+}
+
+// A Sample is one study point's replications so far, in replication
+// order, and the report built from them at the current count.
+type Sample struct {
+	n        int // the point's station count
+	cv       bool
+	vr       *VarianceReduction
+	seeds    []uint64
+	perRep   [][]Metric
+	controls [][]float64 // control-variate points only
+	sum      summarizer
+	built    bool // report holds the current count
+	report   PointReport
+}
+
+// Reps returns the number of replications the sample holds.
+func (s *Sample) Reps() int { return len(s.seeds) }
+
+// Report returns the point's report at the current count —
+// SummarizePoint over the sample, built once per count. It is the
+// report Replications produces for the same point and count.
+func (s *Sample) Report() *PointReport {
+	if !s.built {
+		s.report = SummarizePoint(s.n, slices.Clip(s.seeds), slices.Clip(s.perRep), slices.Clip(s.controls), s.vr)
+		s.built = true
+	}
+	return &s.report
+}
+
+// Metric returns the named metric's published summary at the current
+// count (false when the engine reports no such metric): read from the
+// report when one was built at this count, otherwise reduced alone.
+func (s *Sample) Metric(name string) (MetricSummary, bool) {
+	for mi, m := range s.perRep[0] {
+		switch {
+		case m.Name != name:
+		case s.built:
+			return s.report.Metrics[mi], true
+		default:
+			return s.sum.metric(s.perRep, s.controls, mi, s.vr), true
+		}
+	}
+	return MetricSummary{}, false
+}
+
+// grow reserves room for n replications before the first land, so a
+// fixed-count point fills its sample without regrowing it.
+func (s *Sample) grow(n int) {
+	s.seeds = slices.Grow(s.seeds, n)
+	s.perRep = slices.Grow(s.perRep, n)
+	if s.cv {
+		s.controls = slices.Grow(s.controls, n)
+	}
+}
+
+// add appends one freshly simulated replication.
+func (s *Sample) add(seed uint64, metrics []Metric, controls []float64) {
+	s.seeds = append(s.seeds, seed)
+	s.perRep = append(s.perRep, metrics)
+	if s.cv {
+		s.controls = append(s.controls, controls)
+	}
+	s.built = false
+}
+
+// adopt replaces the sample with the first n replications of a cached
+// report. The overlap is bit-identical by construction: same seeds,
+// deterministic engines. The slices are copied, so later appends never
+// write into the cached report.
+func (s *Sample) adopt(pr *PointReport, n int) {
+	s.seeds = append([]uint64(nil), pr.Seeds[:n]...)
+	s.perRep = append([][]Metric(nil), pr.PerRep[:n]...)
+	if s.cv {
+		s.controls = append([][]float64(nil), pr.Controls[:n]...)
+	}
+	s.built = false
 }
 
 // SummarizePoint aggregates one point's replications into a
 // PointReport: the raw per-replication metrics, their seeds, and one
-// Summarizer.Metric reduction per metric in the engine's canonical
-// order. This is the exact reduction Replications applies, exported so
-// that other runners (the campaign engine's adaptive batches) produce
-// byte-identical point reports from the same per-replication values.
-// Plain callers pass (nil, nil) for controls and vr.
+// summarizer.metric reduction per metric in the engine's canonical
+// order. This is the exact reduction every Sample's report applies,
+// exported so that code holding per-replication values elsewhere
+// rebuilds byte-identical point reports from them. Plain callers pass
+// (nil, nil) for controls and vr.
 func SummarizePoint(n int, seeds []uint64, perRep [][]Metric, controls [][]float64, vr *VarianceReduction) PointReport {
-	pr := PointReport{N: n, Seeds: seeds, PerRep: perRep}
+	pr := PointReport{N: n, Seeds: seeds, PerRep: perRep, Metrics: make([]MetricSummary, 0, len(perRep[0]))}
 	if cvApplies(perRep, controls, vr) {
 		pr.Controls = controls
 	}
-	var sz Summarizer
+	var sz summarizer
 	for mi := range perRep[0] {
-		pr.Metrics = append(pr.Metrics, sz.Metric(perRep, controls, mi, vr))
+		pr.Metrics = append(pr.Metrics, sz.metric(perRep, controls, mi, vr))
 	}
 	return pr
 }
@@ -210,24 +391,24 @@ func cvApplies(perRep [][]Metric, controls [][]float64, vr *VarianceReduction) b
 	return vr != nil && vr.Kind == VRControlVariate && len(controls) == len(perRep)
 }
 
-// A Summarizer reduces one metric of a point's replications at a time.
+// A summarizer reduces one metric of a point's replications at a time.
 // It owns the sample and control buffers the reduction fills, so a
-// caller that reduces the same point round after round (the adaptive
-// campaign's stopping rule) reuses them. The zero value is ready.
-type Summarizer struct {
+// Sample reduced round after round (the adaptive campaign's stopping
+// rule) reuses them. The zero value is ready.
+type summarizer struct {
 	sample []float64
 	rows   [][]float64
 	flat   []float64
 }
 
-// Metric reduces metric mi (an index into each replication's canonical
+// metric reduces metric mi (an index into each replication's canonical
 // metric order) to its published MetricSummary: the mean/stddev/95%-CI
 // Summary and — when vr requests control_variate, controls carries one
 // vector per replication and the metric has control channels — the
 // CVEstimate of the canonical two-pass stats.SummarizeCV. Both are pure
 // functions of the ordered sample, hence bit-identical between serial
 // and parallel runs.
-func (sz *Summarizer) Metric(perRep [][]Metric, controls [][]float64, mi int, vr *VarianceReduction) MetricSummary {
+func (sz *summarizer) metric(perRep [][]Metric, controls [][]float64, mi int, vr *VarianceReduction) MetricSummary {
 	sz.sample = slices.Grow(sz.sample[:0], len(perRep))
 	for _, rep := range perRep {
 		sz.sample = append(sz.sample, rep[mi].Value)
@@ -273,15 +454,8 @@ func (m *MetricSummary) Interval() (mean, ci95 float64) {
 // the report, hence bit-identical between serial and parallel runs.
 func (r *Report) Write(w io.Writer) error {
 	s := r.Spec
-	if _, err := fmt.Fprintf(w, "# scenario %s (engine %s, %d stations", s.Name, s.Engine, s.N()); err != nil {
-		return err
-	}
-	if len(s.SweepN) > 0 {
-		if _, err := fmt.Fprintf(w, " max, sweep over N=%v", s.SweepN); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, ", %d reps, seed %d/%s)\n", r.Reps, s.Seed, s.SeedPolicy); err != nil {
+	if _, err := fmt.Fprintf(w, "# scenario %s (engine %s, %d stations%s, %d reps, seed %d/%s)\n",
+		s.Name, s.Engine, s.N(), s.sweepClause(), r.Reps, s.Seed, s.SeedPolicy); err != nil {
 		return err
 	}
 	if s.Description != "" {
@@ -339,6 +513,15 @@ func (r *Report) Write(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// sweepClause completes a report header's station count: empty, or
+// the sweep the count is the largest point of.
+func (s Spec) sweepClause() string {
+	if len(s.SweepN) == 0 {
+		return ""
+	}
+	return fmt.Sprintf(" max, sweep over N=%v", s.SweepN)
 }
 
 // Describe summarizes a compiled scenario in one line — the -validate

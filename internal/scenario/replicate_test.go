@@ -135,3 +135,28 @@ func TestReplicationsRejectsZeroReps(t *testing.T) {
 		t.Fatal("reps=0 accepted")
 	}
 }
+
+// TestProgressCountsLandedReplications: progress counts a replication
+// only once it has landed. A point whose engine fails stops a serial
+// run after the healthy point's replications, and the count stops
+// with them: a replication that never produced metrics is not done.
+func TestProgressCountsLandedReplications(t *testing.T) {
+	c, err := Compile(Spec{Name: "x", SimTimeMicros: 1e5, Stations: []Group{{Count: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Points = append(c.Points, Point{N: 1}) // compiled to no engine: RunOnce fails
+	var calls []int
+	_, err = ReplicationsOpts(c, 2, 1, Options{Progress: func(done, total int) {
+		calls = append(calls, done)
+		if total != 4 {
+			t.Errorf("total = %d, want 4", total)
+		}
+	}})
+	if err == nil {
+		t.Fatal("a point compiled to no engine ran")
+	}
+	if !reflect.DeepEqual(calls, []int{1, 2}) {
+		t.Errorf("progress %v, want [1 2]: only the landed replications", calls)
+	}
+}

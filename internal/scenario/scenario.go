@@ -337,15 +337,21 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("scenario %s: \"sweep_n\" requires exactly one station group, got %d", s.Name, len(s.Stations))
 		}
 		for i, n := range s.SweepN {
-			if n < 1 {
-				return fmt.Errorf("scenario %s: sweep_n[%d] = %d must be ≥ 1", s.Name, i, n)
+			if n < 1 || n > maxStations {
+				return fmt.Errorf("scenario %s: sweep_n[%d] = %d outside 1–%d stations", s.Name, i, n, maxStations)
 			}
 		}
 	}
+	total := 0
 	for gi, g := range s.Stations {
 		if err := s.validateGroup(gi, g); err != nil {
 			return err
 		}
+		if len(s.SweepN) == 0 && g.Count > maxStations-total {
+			return fmt.Errorf("scenario %s: stations[%d]: \"count\" = %d puts the point over the %d-station cap",
+				s.Name, gi, g.Count, maxStations)
+		}
+		total += g.Count
 	}
 	if s.Engine == EngineSim {
 		if why := s.needsMac(); why != "" {
@@ -459,6 +465,14 @@ func (s Spec) validateGroup(gi int, g Group) error {
 	}
 	return nil
 }
+
+// maxStations caps a point's station count on every engine. The
+// event-driven MAC gives transmitter i the one-byte TEI i+2: TEI 0 is
+// unassigned, 1 is the destination and 255 the broadcast address, so
+// 253 transmitters fill the space. One cap for all engines keeps a
+// spec valid whatever engine it lands on, and bounds the simulators'
+// memory, which grows with the station count.
+const maxStations = 253
 
 // minInterarrivalMicros is the shortest mean Poisson inter-arrival
 // time a spec may ask for. The event-driven MAC draws every arrival,

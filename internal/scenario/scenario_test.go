@@ -122,6 +122,10 @@ func TestInvalidSpecs(t *testing.T) {
 		{"burst too large", `{"name": "x", "sim_time_us": 1e6, "stations": [{"count": 1, "burst_mpdus": 9}]}`, `"burst_mpdus" = 9`},
 		{"sweep with two groups", `{"name": "x", "sim_time_us": 1e6, "sweep_n": [1, 2], "stations": [{"count": 1}, {"count": 1}]}`, `exactly one station group`},
 		{"sweep zero", `{"name": "x", "sim_time_us": 1e6, "sweep_n": [0], "stations": [{"count": 1}]}`, `sweep_n[0] = 0`},
+		{"sweep over the station cap", `{"name": "x", "sim_time_us": 1e6, "sweep_n": [1, 254], "stations": [{"count": 1}]}`, `sweep_n[1] = 254 outside 1–253 stations`},
+		{"mac group over the station cap", `{"name": "x", "engine": "mac", "sim_time_us": 100000, "stations": [{"count": 256}]}`, `stations[0]: "count" = 256 puts the point over the 253-station cap`},
+		{"groups summed over the station cap", `{"name": "x", "sim_time_us": 1e6, "stations": [{"count": 200}, {"count": 54}]}`, `stations[1]: "count" = 54 puts the point over the 253-station cap`},
+		{"count that would overflow the sum", `{"name": "x", "sim_time_us": 1e6, "stations": [{"count": 2}, {"count": 9223372036854775807}]}`, `stations[1]: "count" = 9223372036854775807`},
 		{"bad seed policy", `{"name": "x", "sim_time_us": 1e6, "seed_policy": "lucky", "stations": [{"count": 1}]}`, `unknown seed_policy "lucky"`},
 		{"sim cannot poisson", `{"name": "x", "engine": "sim", "sim_time_us": 1e6, "stations": [{"count": 1, "traffic": {"kind": "poisson", "mean_interarrival_us": 10}}]}`, `engine "sim" cannot express`},
 		{"sim cannot beacon", `{"name": "x", "engine": "sim", "sim_time_us": 1e6, "beacon_period_us": 1000, "stations": [{"count": 1}]}`, `cannot express beacons`},
@@ -268,6 +272,30 @@ func TestFrameFitsSuccessDuration(t *testing.T) {
 		if _, err := Compile(spec); err != nil {
 			t.Errorf("%s: %v", spec.Name, err)
 		}
+	}
+}
+
+// TestStationCapFillsTheTEISpace: a mac point at the station cap
+// compiles and runs, and its transmitters take distinct unicast TEIs
+// (never 0 or the broadcast 255) — one station more is a Validate error
+// (TestInvalidSpecs), not a reused TEI or a panic in the engine.
+func TestStationCapFillsTheTEISpace(t *testing.T) {
+	spec := Spec{Name: "cap", Engine: EngineMac, SimTimeMicros: 1e4, Stations: []Group{{Count: maxStations - 3}, {Count: 3}}}
+	c, err := Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw := buildMac(c.Points[0].MacPlan, 1)
+	for _, st := range nw.Stations() {
+		if st.TEI == 0 || st.TEI == 255 {
+			t.Errorf("station %s got reserved TEI %d", st.Name, st.TEI)
+		}
+	}
+	if got := len(nw.Stations()); got != maxStations+1 {
+		t.Errorf("%d stations attached, want %d transmitters and the destination", got, maxStations)
+	}
+	if _, err := RunOnce(c.Points[0], 1); err != nil {
+		t.Fatal(err)
 	}
 }
 

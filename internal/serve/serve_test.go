@@ -356,6 +356,21 @@ func TestJobsRejectFrameOverTs(t *testing.T) {
 	}
 }
 
+// TestJobsRejectStationsOverCap: a spec with more stations than the
+// mac engine has TEIs is a 400 at admission that names the field, not
+// a job whose replications panic.
+func TestJobsRejectStationsOverCap(t *testing.T) {
+	s := parkedServer(t, 4)
+	rec := post(s.Handler(), "/v1/jobs",
+		[]byte(`{"spec":{"name":"crowded","engine":"mac","sim_time_us":100000,"stations":[{"count":256}]},"reps":1}`))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `\"count\" = 256 puts the point over the 253-station cap`) {
+		t.Fatalf("POST /v1/jobs: %d %s, want a 400 naming count", rec.Code, rec.Body)
+	}
+	if len(s.Jobs()) != 0 {
+		t.Error("the rejected spec minted a job")
+	}
+}
+
 // TestDiskPersistence restarts the server on the same cache directory
 // and expects a disk hit with byte-identical result.
 func TestDiskPersistence(t *testing.T) {
