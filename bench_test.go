@@ -279,6 +279,49 @@ func BenchmarkSimEngine(b *testing.B) {
 	}
 }
 
+// BenchmarkMACJobs is the event-driven MAC's twin of
+// BenchmarkSimEngine/jobs: the two mac job shapes a served workload
+// runs, 4 replications each through scenario.RunOnce, reported as
+// simulated µs per wall-clock ns:
+//   - mac-poisson: 3 Poisson stations (mean inter-arrival 30 ms) and 1
+//     saturated one, 3 s simulated;
+//   - mac-beacon: 3 saturated stations bursting 2 MPDUs under 33.33 ms
+//     beacons, and 1 CA3 Poisson station of 150 µs frames (mean 100
+//     ms), 3 s simulated.
+func BenchmarkMACJobs(b *testing.B) {
+	const reps, simTime = 4, 3e6
+	poisson := func(mean float64) *scenario.Traffic {
+		return &scenario.Traffic{Kind: scenario.TrafficPoisson, MeanInterarrivalMicros: mean}
+	}
+	for _, s := range []scenario.Spec{
+		{Name: "mac-poisson", Stations: []scenario.Group{
+			{Count: 3, Traffic: poisson(3e4)},
+			{Count: 1},
+		}},
+		{Name: "mac-beacon", BeaconPeriodMicros: 33330, Stations: []scenario.Group{
+			{Count: 3, BurstMPDUs: 2},
+			{Count: 1, Priority: "CA3", FrameMicros: 150, Traffic: poisson(1e5)},
+		}},
+	} {
+		s.Engine, s.SimTimeMicros, s.Seed = scenario.EngineMac, simTime, 1
+		c, err := scenario.Compile(s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(s.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for r := 0; r < reps; r++ {
+					if _, err := scenario.RunOnce(c.Points[0], uint64(i*reps+r+1)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.N)*reps*simTime/float64(b.Elapsed().Nanoseconds()), "simulated-µs/ns")
+		})
+	}
+}
+
 // BenchmarkMACNetwork measures the event-driven MAC's rate on the
 // paper's 7-station saturated scenario.
 func BenchmarkMACNetwork(b *testing.B) {

@@ -2,6 +2,7 @@ package device
 
 import (
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -227,6 +228,72 @@ func TestUDPEndToEnd(t *testing.T) {
 	}
 	if c1 != c2 {
 		t.Errorf("status query advanced the clock: %d → %d", c1, c2)
+	}
+}
+
+// TestUDPFetchDuringRuns: one tool advances the strip while another
+// fetches and resets counters over its own socket. The medium loop
+// writes the counter cells without a lock; the host handles one request
+// at a time, a run included, so no read overlaps a run — which the race
+// detector checks here.
+func TestUDPFetchDuringRuns(t *testing.T) {
+	nw, devs, dst := buildPair(9)
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := NewHost(pc, nw)
+	for _, d := range devs {
+		host.Add(d)
+	}
+	host.Add(dst)
+	done := make(chan error, 1)
+	go func() { done <- host.Serve() }()
+	defer func() {
+		if err := host.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+		if err := <-done; err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	}()
+	var tools [2]*Client
+	for i := range tools {
+		if tools[i], err = Dial(pc.LocalAddr().String()); err != nil {
+			t.Fatal(err)
+		}
+		defer tools[i].Close()
+		tools[i].Timeout = 10 * time.Second
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 5; i++ {
+			if _, err := tools[0].Run(200_000); err != nil {
+				t.Errorf("run: %v", err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		if i%5 == 4 {
+			err = tools[1].ResetLink(staAddr, dstAddr, config.CA1)
+		} else {
+			_, err = tools[1].FetchLink(sta2, dstAddr, config.CA1)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	c, err := tools[1].FetchLink(sta2, dstAddr, config.CA1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Acked == 0 {
+		t.Error("no acknowledged MPDUs counted over five runs")
 	}
 }
 

@@ -51,9 +51,15 @@ type LinkCounters struct {
 	Collided uint64
 }
 
-// Counters is a station's firmware counter block. It is safe for
-// concurrent use: the simulation goroutine writes while management
-// tooling (ampstat over UDP) reads.
+// Counters is a station's firmware counter block: one cell per link,
+// made when a flow is attached (Station.AddFlow for the sender's tx
+// link, Network.Run for the destination's rx link) and then held by the
+// flow, so the medium loop adds to a cell without a lock or a lookup.
+// The mutex guards only the index. A cell is written without
+// synchronization by whichever goroutine runs the network, so Fetch,
+// Reset and Keys must not overlap Network.Run: the testbed calls them
+// between runs, and the device Host (ampstat's surface) handles one
+// request at a time, a run included, under one mutex.
 type Counters struct {
 	mu sync.Mutex
 	m  map[LinkKey]*LinkCounters
@@ -64,27 +70,17 @@ func NewCounters() *Counters {
 	return &Counters{m: make(map[LinkKey]*LinkCounters)}
 }
 
-func (c *Counters) bucket(k LinkKey) *LinkCounters {
+// link returns the cell of link k, making it on first use. A cell is
+// never removed (Reset zeroes it in place), so a flow may hold it.
+func (c *Counters) link(k LinkKey) *LinkCounters {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	b := c.m[k]
 	if b == nil {
 		b = &LinkCounters{}
 		c.m[k] = b
 	}
 	return b
-}
-
-// AddAcked increments the acknowledged-MPDU counter of a link.
-func (c *Counters) AddAcked(k LinkKey, n uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.bucket(k).Acked += n
-}
-
-// AddCollided increments the collided-MPDU counter of a link.
-func (c *Counters) AddCollided(k LinkKey, n uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.bucket(k).Collided += n
 }
 
 // Fetch returns the current counters of a link (zeros if never used).
@@ -103,17 +99,21 @@ func (c *Counters) Fetch(k LinkKey) LinkCounters {
 func (c *Counters) Reset(k LinkKey) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.m, k)
+	if b := c.m[k]; b != nil {
+		*b = LinkCounters{}
+	}
 }
 
-// Keys returns the populated link keys in a deterministic order, for
-// reports and tests.
+// Keys returns the links that have counted anything since their last
+// reset, in a deterministic order, for reports and tests.
 func (c *Counters) Keys() []LinkKey {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	keys := make([]LinkKey, 0, len(c.m))
-	for k := range c.m {
-		keys = append(keys, k)
+	for k, b := range c.m {
+		if *b != (LinkCounters{}) {
+			keys = append(keys, k)
+		}
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		a, b := keys[i], keys[j]

@@ -339,9 +339,10 @@ func TestCountersKeysDeterministic(t *testing.T) {
 	k1 := LinkKey{Peer: addr(2), Priority: config.CA1, Direction: hpav.DirectionTx}
 	k2 := LinkKey{Peer: addr(1), Priority: config.CA2, Direction: hpav.DirectionRx}
 	k3 := LinkKey{Peer: addr(1), Priority: config.CA1, Direction: hpav.DirectionTx}
-	c.AddAcked(k1, 1)
-	c.AddAcked(k2, 1)
-	c.AddAcked(k3, 1)
+	c.link(k1).Acked++
+	c.link(k2).Acked++
+	c.link(k3).Acked++
+	c.link(LinkKey{Peer: addr(3)}) // made but never counted: not listed
 	keys := c.Keys()
 	if len(keys) != 3 {
 		t.Fatalf("%d keys", len(keys))

@@ -260,11 +260,29 @@ func (n *Network) Run(duration float64) {
 	if duration <= 0 || math.IsNaN(duration) || math.IsInf(duration, 0) {
 		panic(fmt.Sprintf("mac: Run(%v): duration must be positive and finite", duration))
 	}
+	n.resolveLinks()
 	end := n.clock + duration
 	for n.clock < end {
 		n.step(end)
 	}
 	n.stats.Elapsed = n.clock
+}
+
+// resolveLinks gives every flow whose destination is attached its rx
+// counter cell at that destination, so the medium loop never looks a
+// station or a counter up. It runs before each Run, since stations may
+// be attached between runs.
+func (n *Network) resolveLinks() {
+	for _, s := range n.stations {
+		for _, f := range s.flows {
+			if f.rx != nil {
+				continue
+			}
+			if dst := n.byTEI[f.Spec.Dst]; dst != nil {
+				f.rx = dst.counters.link(LinkKey{Peer: s.Addr, Priority: f.Spec.Priority, Direction: hpav.DirectionRx})
+			}
+		}
+	}
 }
 
 // step executes one medium event. It is the steady-state loop
@@ -385,27 +403,16 @@ func (n *Network) burstDuration(k int, frameMicros float64) float64 {
 // coded, so sniffer-enabled stations still capture the errored burst.
 func (n *Network) frameError(w *Station, pri config.Priority, now float64) {
 	observed := len(n.observers) > 0
-	needBurst := observed || n.snifferActive()
+	f := w.peek(pri, now) // not consumed: the burst is retried
+	spec := f.Spec
 	var burst *hpav.Burst
-	var spec BurstSpec
-	if needBurst {
-		burst, spec = w.peekBurst(pri, now) // not consumed: the burst is retried
-	} else {
-		spec = w.peekSpec(pri, now)
+	if observed || n.snifferActive() {
+		burst = w.burst(spec)
+		n.capture(burst, now)
 	}
 	k := spec.MPDUs
 	d := n.burstDuration(k, spec.FrameMicros)
-
-	txKey := LinkKey{Peer: spec.DstAddr, Priority: pri, Direction: hpav.DirectionTx}
-	w.counters.AddAcked(txKey, uint64(k))
-	if dst := n.byTEI[spec.Dst]; dst != nil {
-		rxKey := LinkKey{Peer: w.Addr, Priority: pri, Direction: hpav.DirectionRx}
-		dst.counters.AddAcked(rxKey, uint64(k))
-	}
-
-	if needBurst {
-		n.capture(burst, now)
-	}
+	f.countAcked(uint64(k))
 
 	for _, s := range n.stations {
 		if !s.active[pri] {
@@ -457,7 +464,7 @@ func (n *Network) idleRun(contenders []*Station, pri config.Priority, now, end f
 	nextArrival := inf
 	for _, s := range n.stations {
 		for _, f := range s.flows {
-			if f.Source.Pending(now) {
+			if f.pending(now) {
 				continue
 			}
 			if a := f.Source.NextArrival(now); a < nextArrival {
@@ -488,32 +495,21 @@ func (n *Network) snifferActive() bool {
 // allocation-free.
 func (n *Network) success(w *Station, pri config.Priority, now float64) {
 	observed := len(n.observers) > 0
-	needBurst := observed || n.snifferActive()
+	f := w.take(pri, now)
+	spec := f.Spec
 	var burst *hpav.Burst
-	var spec BurstSpec
-	if needBurst {
-		burst, spec = w.takeBurst(pri, now)
-	} else {
-		spec = w.takeSpec(pri, now)
+	if observed || n.snifferActive() {
+		// Sniffer capture: stations in sniffer mode hear every SoF of
+		// the burst (same contention domain).
+		burst = w.burst(spec)
+		n.capture(burst, now)
 	}
 	k := spec.MPDUs
-
 	d := n.burstDuration(k, spec.FrameMicros)
 
 	// Firmware counters: the transmitter's tx link gets k acked MPDUs;
 	// the destination's rx link mirrors them.
-	txKey := LinkKey{Peer: spec.DstAddr, Priority: pri, Direction: hpav.DirectionTx}
-	w.counters.AddAcked(txKey, uint64(k))
-	if dst := n.byTEI[spec.Dst]; dst != nil {
-		rxKey := LinkKey{Peer: w.Addr, Priority: pri, Direction: hpav.DirectionRx}
-		dst.counters.AddAcked(rxKey, uint64(k))
-	}
-
-	// Sniffer capture: stations in sniffer mode hear every SoF of the
-	// burst (same contention domain).
-	if needBurst {
-		n.capture(burst, now)
-	}
+	f.countAcked(uint64(k))
 
 	// Backoff: winner restarts at stage 0; other contenders absorb one
 	// busy period.
@@ -530,7 +526,7 @@ func (n *Network) success(w *Station, pri config.Priority, now float64) {
 	if n.recordDelays {
 		n.stats.AccessDelays = append(n.stats.AccessDelays, now+d-w.headSince[pri])
 	}
-	if w.pendingAt(pri, now) {
+	if w.head(pri, now) != nil {
 		// The next frame becomes head of line when this burst ends.
 		w.headSince[pri] = now + d
 	} else {
@@ -565,7 +561,8 @@ func (n *Network) collision(txs []*Station, pri config.Priority, now float64) {
 	var collidedMPDUs int64
 
 	for _, s := range txs {
-		spec := s.peekSpec(pri, now)
+		f := s.peek(pri, now)
+		spec := f.Spec
 		if observed {
 			teis = append(teis, s.TEI)
 		}
@@ -578,9 +575,8 @@ func (n *Network) collision(txs []*Station, pri config.Priority, now float64) {
 		// acknowledges the collided frame with an all-errored
 		// indication — so the Acked counter advances together with the
 		// Collided counter.
-		txKey := LinkKey{Peer: spec.DstAddr, Priority: pri, Direction: hpav.DirectionTx}
-		s.counters.AddAcked(txKey, k)
-		s.counters.AddCollided(txKey, k)
+		f.tx.Acked += k
+		f.tx.Collided += k
 	}
 
 	o := n.overheads

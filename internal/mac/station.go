@@ -45,9 +45,51 @@ func (s BurstSpec) Validate() error {
 }
 
 // Flow binds a traffic source to a burst specification at one station.
+// A flow belongs to the one station it is added to.
 type Flow struct {
 	Source traffic.Source
 	Spec   BurstSpec
+
+	// AddFlow recognizes the two common sources, so the medium loop
+	// asks neither through the interface: a saturated flow is always
+	// pending, and poisson is Source when it is a *traffic.Poisson.
+	saturated bool
+	poisson   *traffic.Poisson
+	// tx is the sender's firmware counter cell of the flow's link (set
+	// by AddFlow); rx is the destination's mirror cell, set by
+	// Network.Run once a station with TEI Spec.Dst is attached.
+	tx, rx *LinkCounters
+}
+
+// pending is Source.Pending(now).
+func (f *Flow) pending(now float64) bool {
+	switch {
+	case f.saturated:
+		return true
+	case f.poisson != nil:
+		return f.poisson.Pending(now)
+	}
+	return f.Source.Pending(now)
+}
+
+// take is Source.Take(now).
+func (f *Flow) take(now float64) {
+	switch {
+	case f.saturated:
+	case f.poisson != nil:
+		f.poisson.Take(now)
+	default:
+		f.Source.Take(now)
+	}
+}
+
+// countAcked adds k acknowledged MPDUs to a flow's link, on the sender
+// and, when the destination is attached, on its mirror rx link.
+func (f *Flow) countAcked(k uint64) {
+	f.tx.Acked += k
+	if f.rx != nil {
+		f.rx.Acked += k
+	}
 }
 
 // Station is one PLC station of the emulated network: per-priority
@@ -62,7 +104,10 @@ type Station struct {
 	// TEI is the short identifier delimiters carry.
 	TEI hpav.TEI
 
-	flows     []*Flow
+	flows []*Flow
+	// saturated is the bitmask (bit pri) of the classes that have a
+	// saturated flow: they are pending at every instant.
+	saturated uint8
 	params    [config.CA3 + 1]config.Params
 	engines   [config.CA3 + 1]*backoff.Station
 	active    [config.CA3 + 1]bool
@@ -146,34 +191,44 @@ func (s *Station) AddFlow(f *Flow) {
 	if err := f.Spec.Validate(); err != nil {
 		panic(fmt.Sprintf("mac: AddFlow: %v", err))
 	}
+	f.tx = s.counters.link(LinkKey{Peer: f.Spec.DstAddr, Priority: f.Spec.Priority, Direction: hpav.DirectionTx})
 	s.flows = append(s.flows, f)
+	switch src := f.Source.(type) {
+	case traffic.Saturated:
+		f.saturated = true
+		s.saturated |= 1 << f.Spec.Priority
+	case *traffic.Poisson:
+		f.poisson = src
+	}
 }
 
 // Counters exposes the firmware counter block (the MME stats handler
 // reads it).
 func (s *Station) Counters() *Counters { return s.counters }
 
-// pendingAt reports whether any flow of class pri has traffic at now.
-func (s *Station) pendingAt(pri config.Priority, now float64) bool {
+// head returns the first flow of class pri with traffic at now, or nil.
+// Flows are served in the order they were added.
+func (s *Station) head(pri config.Priority, now float64) *Flow {
 	for _, f := range s.flows {
-		if f.Spec.Priority == pri && f.Source.Pending(now) {
-			return true
+		if f.Spec.Priority == pri && f.pending(now) {
+			return f
 		}
 	}
-	return false
+	return nil
 }
 
 // pendingMask returns the bitmask (bit pri) of classes with traffic at
-// now, calling Pending at most once per flow: a flow whose class is
-// already known pending is skipped. Skipping is safe because a source
-// draws only from its own stream and Pending is repeatable for a
-// non-decreasing now (the traffic.Source contract).
+// now. A saturated class is pending without asking any flow; every
+// other flow is asked at most once, and not at all once its class is
+// known pending. Skipping is safe because a source draws only from its
+// own stream and Pending is repeatable for a non-decreasing now (the
+// traffic.Source contract).
 //
 //plclint:noalloc
 func (s *Station) pendingMask(now float64) uint8 {
-	var m uint8
+	m := s.saturated
 	for _, f := range s.flows {
-		if bit := uint8(1) << f.Spec.Priority; m&bit == 0 && f.Source.Pending(now) {
+		if bit := uint8(1) << f.Spec.Priority; m&bit == 0 && f.pending(now) {
 			m |= bit
 		}
 	}
@@ -235,56 +290,40 @@ func (s *Station) afterBusy(pri config.Priority, transmitted, success bool) {
 // restarts at stage 0.
 func (s *Station) quiesce(pri config.Priority) { s.active[pri] = false }
 
-// takeBurst consumes one frame from the first pending flow at pri and
-// materializes the burst it describes.
-func (s *Station) takeBurst(pri config.Priority, now float64) (*hpav.Burst, BurstSpec) {
-	spec := s.takeSpec(pri, now)
-	b, err := hpav.NewBurst(spec.MPDUs, s.TEI, spec.Dst, pri,
+// take consumes one frame from the first pending flow at pri and
+// returns that flow. The burst sequence number advances whether or not
+// the burst is materialized, so captures started later see the same
+// numbering.
+func (s *Station) take(pri config.Priority, now float64) *Flow {
+	f := s.head(pri, now)
+	if f == nil {
+		panic("mac: take called with no pending flow")
+	}
+	f.take(now)
+	s.burstSeq++
+	return f
+}
+
+// peek returns the first pending flow at pri without consuming its
+// frame: the collision and channel-error paths, where the burst stays
+// queued for retry.
+func (s *Station) peek(pri config.Priority, now float64) *Flow {
+	f := s.head(pri, now)
+	if f == nil {
+		panic("mac: peek called with no pending flow")
+	}
+	return f
+}
+
+// burst materializes the delimiters of a burst of spec, numbered with
+// the current burst sequence: after take, the new frame's number; after
+// peek, the number a retransmission reuses. Only observers and sniffers
+// need them; the unobserved loop stays allocation-free without them.
+func (s *Station) burst(spec BurstSpec) *hpav.Burst {
+	b, err := hpav.NewBurst(spec.MPDUs, s.TEI, spec.Dst, spec.Priority,
 		spec.PBsPerMPDU, spec.FrameMicros, s.burstSeq)
 	if err != nil {
-		panic(fmt.Sprintf("mac: takeBurst: %v", err)) // spec validated at AddFlow
+		panic(fmt.Sprintf("mac: burst: %v", err)) // spec validated at AddFlow
 	}
-	return b, spec
-}
-
-// takeSpec consumes one frame from the first pending flow at pri without
-// materializing the burst — the allocation-free success path used when
-// no observer or sniffer needs the delimiters. The burst sequence number
-// still advances so that captures started later see the same numbering.
-func (s *Station) takeSpec(pri config.Priority, now float64) BurstSpec {
-	for _, f := range s.flows {
-		if f.Spec.Priority != pri || !f.Source.Pending(now) {
-			continue
-		}
-		f.Source.Take(now)
-		s.burstSeq++
-		return f.Spec
-	}
-	panic("mac: takeSpec called with no pending flow")
-}
-
-// peekBurst materializes the head-of-line burst at pri without
-// consuming the frame or advancing the burst sequence — the
-// channel-error path, where the burst stays queued and a later
-// successful delivery reuses the same numbering (a retransmission).
-func (s *Station) peekBurst(pri config.Priority, now float64) (*hpav.Burst, BurstSpec) {
-	spec := s.peekSpec(pri, now)
-	b, err := hpav.NewBurst(spec.MPDUs, s.TEI, spec.Dst, pri,
-		spec.PBsPerMPDU, spec.FrameMicros, s.burstSeq)
-	if err != nil {
-		panic(fmt.Sprintf("mac: peekBurst: %v", err)) // spec validated at AddFlow
-	}
-	return b, spec
-}
-
-// peekSpec returns the burst specification of the first pending flow at
-// pri without consuming the frame — used by the collision path, where
-// the frame stays queued for retry.
-func (s *Station) peekSpec(pri config.Priority, now float64) BurstSpec {
-	for _, f := range s.flows {
-		if f.Spec.Priority == pri && f.Source.Pending(now) {
-			return f.Spec
-		}
-	}
-	panic("mac: peekSpec called with no pending flow")
+	return b
 }

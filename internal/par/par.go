@@ -96,6 +96,15 @@ func Map[T, R any](workers int, items []T, fn func(i int, item T) (R, error)) ([
 // and the usual lowest-index error rule then makes MapCtx return either
 // a genuine fn error from an earlier index or ctx.Err(). A ctx that is
 // cancelled only after every item completed does not fail the call.
+//
+// A worker yields the processor (runtime.Gosched) after an item while
+// items remain to be started. Items are CPU-bound replications that
+// never block, so without the yield a goroutine they make runnable — a
+// progress reader, a result persister, an HTTP handler — waits for the
+// whole fan-out when every processor runs a worker. With it, it waits
+// for at most one item per worker. A yield after the last item would
+// only requeue the worker behind every other runnable goroutine; for a
+// one-item call (a served model prediction) that is the caller itself.
 func MapCtx[T, R any](ctx context.Context, workers int, items []T, fn func(i int, item T) (R, error)) ([]R, error) {
 	if len(items) == 0 {
 		return nil, nil
@@ -114,6 +123,9 @@ func MapCtx[T, R any](ctx context.Context, workers int, items []T, fn func(i int
 				return nil, err
 			}
 			out[i] = r
+			if i+1 < len(items) {
+				runtime.Gosched()
+			}
 		}
 		return out, nil
 	}
@@ -135,6 +147,9 @@ func MapCtx[T, R any](ctx context.Context, workers int, items []T, fn func(i int
 					continue
 				}
 				out[i], errs[i] = protect(fn, i, items[i])
+				if next.Load() < int64(len(items)) {
+					runtime.Gosched()
+				}
 			}
 		}()
 	}

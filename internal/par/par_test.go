@@ -159,3 +159,63 @@ func TestMapCtxRealErrorWinsOverCancel(t *testing.T) {
 		t.Errorf("err = %v, want boom (index 0 outranks later ctx errors)", err)
 	}
 }
+
+// TestMapCtxYieldsBetweenItems: a goroutine that an item makes runnable
+// runs after at most one more item per worker, even on one processor
+// with every worker busy, because workers yield between items. Without
+// the yield the readied goroutine waits for the whole fan-out, since
+// these items never block. (With two workers it usually runs before
+// item 2; the bound is item 3 because the scheduler may take its global
+// queue first once every 61 schedules, and the race detector shuffles
+// run queues, so the other worker can start one more item.)
+func TestMapCtxYieldsBetweenItems(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, workers := range []int{1, 2} {
+		wake, parked := make(chan struct{}), make(chan struct{})
+		var woke atomic.Bool
+		go func() {
+			close(parked)
+			<-wake
+			woke.Store(true)
+		}()
+		<-parked
+		out, err := MapCtx(context.Background(), workers, make([]struct{}, 4), func(i int, _ struct{}) (bool, error) {
+			if i == 0 {
+				close(wake)
+			}
+			return woke.Load(), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out[1+workers] {
+			t.Errorf("workers=%d: the goroutine item 0 readied had not run when item %d started", workers, 1+workers)
+		}
+	}
+}
+
+// TestMapCtxOneItemDoesNotYield: a one-item call returns to its caller
+// without yielding, so a goroutine the item readied has not yet run on
+// one processor. A yield there would only requeue the caller (a served
+// model prediction runs such a call in its HTTP handler) behind every
+// other runnable goroutine.
+func TestMapCtxOneItemDoesNotYield(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	wake, parked := make(chan struct{}), make(chan struct{})
+	var woke atomic.Bool
+	go func() {
+		close(parked)
+		<-wake
+		woke.Store(true)
+	}()
+	<-parked
+	if _, err := MapCtx(context.Background(), 2, make([]struct{}, 1), func(int, struct{}) (struct{}, error) {
+		close(wake)
+		return struct{}{}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if woke.Load() {
+		t.Error("the readied goroutine ran before the one-item call returned: MapCtx yielded")
+	}
+}

@@ -89,16 +89,34 @@ func (s *Source) Intn(n int) int {
 	}
 	// Lemire's nearly-divisionless unbiased bounded draw.
 	bound := uint64(n)
-	x := s.Uint64()
-	hi, lo := bits.Mul64(x, bound)
+	hi, lo := bits.Mul64(s.Uint64(), bound)
 	if lo < bound {
-		threshold := -bound % bound
-		for lo < threshold {
-			x = s.Uint64()
-			hi, lo = bits.Mul64(x, bound)
-		}
+		hi = s.Resample(hi, lo, bound)
 	}
 	return int(hi)
+}
+
+// Resample finishes Lemire's bounded draw of a uniform integer in
+// [0, bound) whose first product fell below bound: given
+// hi, lo = bits.Mul64(s.Uint64(), bound) with lo < bound, it rejects
+// and redraws while lo is under 2⁶⁴ mod bound and returns the accepted
+// high word. It is Intn's rare branch, kept out of line so that a hot
+// caller can inline the common case — one Uint64 and one multiply —
+// and still consume exactly Intn's draws:
+//
+//	hi, lo := bits.Mul64(s.Uint64(), bound)
+//	if lo < bound {
+//		hi = s.Resample(hi, lo, bound)
+//	}
+//
+// Intn itself cannot be inlined: Uint64 alone spends 75 of the
+// compiler's inlining budget of 80.
+func (s *Source) Resample(hi, lo, bound uint64) uint64 {
+	threshold := -bound % bound
+	for lo < threshold {
+		hi, lo = bits.Mul64(s.Uint64(), bound)
+	}
+	return hi
 }
 
 // Backoff draws a 1901 backoff counter: uniform in {0, …, cw-1}. This is

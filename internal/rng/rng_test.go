@@ -77,6 +77,39 @@ func TestIntnRange(t *testing.T) {
 	}
 }
 
+// TestIntnCallSiteMatchesLemire: Intn, and its common case spelled out
+// at a call site with Resample as the rare branch (the form the sim
+// engine's redraw uses), both draw exactly what a one-piece Lemire draw
+// does, including at bounds where the rejection loop runs often.
+func TestIntnCallSiteMatchesLemire(t *testing.T) {
+	lemire := func(s *Source, bound uint64) uint64 {
+		hi, lo := bits.Mul64(s.Uint64(), bound)
+		if lo < bound {
+			for threshold := -bound % bound; lo < threshold; {
+				hi, lo = bits.Mul64(s.Uint64(), bound)
+			}
+		}
+		return hi
+	}
+	for _, n := range []int{1, 8, 1000, 1<<62 + 1, 3<<61 + 1} {
+		ref, viaIntn, inline := New(5), New(5), New(5)
+		bound := uint64(n)
+		for i := 0; i < 1000; i++ {
+			want := lemire(ref, bound)
+			hi, lo := bits.Mul64(inline.Uint64(), bound)
+			if lo < bound {
+				hi = inline.Resample(hi, lo, bound)
+			}
+			if got := viaIntn.Intn(n); uint64(got) != want || hi != want {
+				t.Fatalf("n=%d draw %d: Intn %d, call site %d, reference %d", n, i, got, hi, want)
+			}
+		}
+		if *viaIntn != *ref || *inline != *ref {
+			t.Errorf("n=%d: the streams consumed different numbers of words", n)
+		}
+	}
+}
+
 func TestIntnPanicsOnNonPositive(t *testing.T) {
 	for _, n := range []int{0, -1} {
 		func() {

@@ -339,15 +339,19 @@ func writePredict(w http.ResponseWriter, r *http.Request, data []byte, cached bo
 // wantText reports whether a result request asks for ?format=text.
 func wantText(r *http.Request) bool { return r.URL.Query().Get("format") == "text" }
 
-// writeText serves a result's text rendering.
+// writeText serves a result's text rendering. Like writeRaw it declares
+// the length: a body past net/http's 2 KiB buffer would otherwise go
+// out chunked, one more write and one more wake per answer.
 func writeText(w http.ResponseWriter, text string) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	w.Header().Set("Content-Length", strconv.Itoa(len(text)))
 	io.WriteString(w, text)
 }
 
 // writeRaw serves a result's verbatim JSON bytes.
 func writeRaw(w http.ResponseWriter, data []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	w.Write(data)
 }
 

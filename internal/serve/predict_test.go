@@ -329,3 +329,34 @@ func TestNewFailsFastOnUnusableCacheDir(t *testing.T) {
 		t.Errorf("cache dir not created: %v", err)
 	}
 }
+
+// TestPredictDeclaresContentLength: an answer larger than net/http's
+// 2 KiB response buffer still goes out with a Content-Length, not
+// chunked, in both its JSON and its text form.
+func TestPredictDeclaresContentLength(t *testing.T) {
+	s := mustNew(t, Config{})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	body := `{"spec":{"name":"long","engine":"model","sim_time_us":1e7,"sweep_n":[2,3,4,5,6,7,8,9,10],"stations":[{"count":1}]}}`
+	for _, path := range []string{"/v1/predict", "/v1/predict?format=text"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: code %d: %s", path, resp.StatusCode, buf.Bytes())
+		}
+		if buf.Len() <= 2048 {
+			t.Fatalf("%s: %d-byte answer is too short to test past the 2 KiB buffer", path, buf.Len())
+		}
+		if resp.ContentLength != int64(buf.Len()) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: %d bytes arrived with Content-Length %d, Transfer-Encoding %v",
+				path, buf.Len(), resp.ContentLength, resp.TransferEncoding)
+		}
+	}
+}

@@ -27,6 +27,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/backoff"
 	"repro/internal/config"
@@ -483,11 +484,18 @@ func (e *Engine) runLazy(res *Result) float64 {
 
 // redraw is backoff.Station's redraw on the lazy loop's state: station
 // i enters the stage its BPC addresses at busy slot slot (busy-period
-// index busy; −1 for the start) and draws its backoff counter.
+// index busy; −1 for the start) and draws its backoff counter. The draw
+// is rng's Backoff with its common case inlined here (see
+// rng.Source.Resample): the same words, without a call per redraw.
 func (e *Engine) redraw(i, slot, busy int) {
 	l := &e.lanes[i]
 	stage := min(l.bpc, len(l.cw)-1)
-	e.fire[i] = slot + 1 + l.src.Backoff(l.cw[stage])
+	bound := uint64(l.cw[stage])
+	bc, lo := bits.Mul64(l.src.Uint64(), bound)
+	if lo < bound {
+		bc = l.src.Resample(bc, lo, bound)
+	}
+	e.fire[i] = slot + 1 + int(bc)
 	e.jump[i] = busy + 1 + l.dc[stage]
 	l.bpc++
 	l.redraws++
@@ -584,7 +592,8 @@ func (e *Engine) busy(res *Result, txs []int) (kind SlotKind, dur float64, winne
 	// either way (the loss happens at the receiver), but the ACK carries
 	// the all-blocks-errored indication, so the transmitter's backoff
 	// advances to the next stage like a failure.
-	if e.errSrc != nil && e.errSrc[w].Float64() < e.in.ErrorProb[w] {
+	// The uniform is rng's Float64, spelled out so that Uint64 inlines.
+	if e.errSrc != nil && float64(e.errSrc[w].Uint64()>>11)*(1.0/(1<<53)) < e.in.ErrorProb[w] {
 		res.FrameErrors++
 		res.PerStation[w].Errored++
 		return FrameError, e.in.Ts, -1
